@@ -12,18 +12,19 @@
 #   scripts/profile_hotpath.sh [--bench bench_interpreter|bench_simulator]
 #                              [--out DIR]
 #
-# Output lands in DIR (default profile-out/): perf.data + report.txt, or
+# Output lands in DIR (default: profile-out/ in the repo root; a relative
+# DIR is taken from the current directory): perf.data + report.txt, or
 # gmon.out + gprof.txt. The report's top entries are echoed to stdout.
 
 set -euo pipefail
 
 BENCH=bench_interpreter
-OUT=profile-out
+OUT=
 while [ $# -gt 0 ]; do
   case "$1" in
     --bench) BENCH="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
-    -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
     *) echo "profile_hotpath: unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -33,9 +34,15 @@ case "$BENCH" in
   *) echo "profile_hotpath: unsupported bench: $BENCH" >&2; exit 2 ;;
 esac
 
+# Every path below is absolute: a relative --out is taken from the
+# caller's working directory, and the default lives in the repo root.
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-cd "$ROOT"
+OUT="${OUT:-$ROOT/profile-out}"
 mkdir -p "$OUT"
+OUT="$(cd "$OUT" && pwd)"
+BUILD="$ROOT/build-profile"
+BIN="$BUILD/bench/$BENCH"
+cd "$ROOT"
 
 # perf needs both the binary and the kernel's cooperation; a container
 # with perf installed but perf_event_paravirt disabled still fails, so
@@ -47,11 +54,10 @@ have_perf() {
 
 if have_perf; then
   echo "== profiler: perf (cycles, call graph) =="
-  cmake -S . -B build-profile -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -S "$ROOT" -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     >/dev/null
-  cmake --build build-profile -j --target "$BENCH" >/dev/null
-  perf record -g -o "$OUT/perf.data" -- \
-    "./build-profile/bench/$BENCH" --bench-out "$OUT" >/dev/null
+  cmake --build "$BUILD" -j --target "$BENCH" >/dev/null
+  perf record -g -o "$OUT/perf.data" -- "$BIN" --bench-out "$OUT" >/dev/null
   perf report -i "$OUT/perf.data" --stdio >"$OUT/report.txt"
   echo "report: $OUT/report.txt (top of the profile below)"
   grep -m 25 -v '^#' "$OUT/report.txt" | sed '/^$/d' | head -25
@@ -60,14 +66,16 @@ fi
 
 if command -v g++ >/dev/null 2>&1; then
   echo "== profiler: gprof fallback (perf unavailable) =="
-  cmake -S . -B build-profile -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  cmake -S "$ROOT" -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
-  cmake --build build-profile -j --target "$BENCH" >/dev/null
+  cmake --build "$BUILD" -j --target "$BENCH" >/dev/null
   # gmon.out is dropped in the working directory of the profiled process.
-  (cd "$OUT" && "../build-profile/bench/$BENCH" --bench-out . >/dev/null)
-  gprof "build-profile/bench/$BENCH" "$OUT/gmon.out" >"$OUT/gprof.txt"
+  (cd "$OUT" && "$BIN" --bench-out "$OUT" >/dev/null)
+  gprof "$BIN" "$OUT/gmon.out" >"$OUT/gprof.txt"
   echo "report: $OUT/gprof.txt (flat profile below)"
-  awk '/^ *time/{found=1} found' "$OUT/gprof.txt" | head -25
+  # awk stops printing itself: `| head` would SIGPIPE awk, and pipefail
+  # would turn that into a failing exit status.
+  awk '/^ *time/{found=1} found && n++ < 25' "$OUT/gprof.txt"
   exit 0
 fi
 

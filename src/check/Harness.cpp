@@ -176,6 +176,41 @@ Verdict ContainerAdapter::verdict(
   return checkExecution(G, Obj, libFamily(L), Results, Limits, libStrength(L));
 }
 
+const Verdict *
+VerdictMemo::lookup(const graph::EventGraph &G,
+                    const std::vector<std::vector<Observed>> &Results) {
+  Key.clear();
+  G.appendKey(Key);
+  for (const std::vector<Observed> &Thread : Results) {
+    Key.push_back(Thread.size());
+    for (const Observed &O : Thread) {
+      Key.push_back(static_cast<uint64_t>(O.Code));
+      Key.push_back(O.Arg);
+      Key.push_back(O.Result);
+    }
+  }
+  uint64_t H = 0;
+  for (uint64_t W : Key) {
+    H = (H + W) * 0x9e3779b97f4a7c15ull;
+    H ^= H >> 29;
+  }
+  KeySlot = (H * 0x9e3779b97f4a7c15ull) >> 58; // Top 6 bits: 64 slots.
+  static_assert(Slots == 64, "slot index takes the hash's top 6 bits");
+  const Slot &S = Table[KeySlot];
+  if (S.Key == Key) {
+    ++Hits;
+    return &S.V;
+  }
+  ++Misses;
+  return nullptr;
+}
+
+void VerdictMemo::store(const Verdict &V) {
+  Slot &S = Table[KeySlot];
+  S.Key = Key; // Reuses the slot's capacity.
+  S.V = V;
+}
+
 sim::Explorer::Options check::scenarioOptions(const Scenario &S,
                                               uint64_t MaxExecutions,
                                               unsigned Workers,
@@ -255,14 +290,21 @@ sim::Workload::Body bodyFor(std::shared_ptr<RunState> St) {
     case sim::Scheduler::RunResult::Done:
       break;
     }
-    Verdict V = St->A->verdict(*St->Mon, St->Results, St->Limits);
-    if (V.LinAborted) {
+    // A memo hit replays the stored verdict whole, budget overrun
+    // included, so counters and messages match a fresh check.
+    if (const Verdict *Hit =
+            St->Memo.lookup(St->Mon->graph(), St->Results)) {
+      St->LastVerdict = *Hit;
+    } else {
+      St->LastVerdict = St->A->verdict(*St->Mon, St->Results, St->Limits);
+      St->Memo.store(St->LastVerdict);
+    }
+    if (St->LastVerdict.LinAborted) {
       ++St->LinAborts;
       if (St->SharedLinAborts)
         St->SharedLinAborts->fetch_add(1, std::memory_order_relaxed);
     }
-    St->LastVerdict = V;
-    return V.Ok;
+    return St->LastVerdict.Ok;
   };
   sim::Workload::Body B{std::move(Setup), std::move(Check)};
   // Copy-on-write eligibility: the cross-step state outside the machine

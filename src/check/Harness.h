@@ -10,7 +10,8 @@
 /// mutated), per-thread coroutines execute the op lists while recording the
 /// observed results, and the workload's Check closure hands every completed
 /// execution's event graph plus observations to the reference model
-/// (check/RefModel.h).
+/// (check/RefModel.h), through a memo that checks each distinct input once
+/// (VerdictMemo).
 ///
 /// Observed-result encoding (Observed::Result):
 ///  * enq/push: the pushed value on success; 0 when an SPSC tryEnqueue
@@ -35,6 +36,7 @@
 #include "lib/WsDeque.h"
 #include "sim/Workload.h"
 
+#include <array>
 #include <atomic>
 #include <memory>
 
@@ -76,6 +78,44 @@ private:
   unsigned Obj = 0; ///< Object id under which events are committed.
 };
 
+/// A bounded, exact memo of reference-model verdicts. Compass specs are
+/// predicates over the event graph alone (events, `so`, and `lhb` through
+/// logical views), so executions that differ only in their interleaving or
+/// physical views get the same verdict; the memo checks each distinct
+/// (graph, observed results) input once. The key is
+/// graph::EventGraph::appendKey followed by the per-thread results.
+/// Direct-mapped: a key hashes to one of Slots slots and a miss overwrites
+/// that slot. A hit compares the full key, so a hash collision costs a
+/// re-check, never a wrong verdict. DESIGN.md §7 has the sizing
+/// measurements.
+class VerdictMemo {
+public:
+  static constexpr size_t Slots = 64;
+
+  /// Keys (\p G, \p Results) and returns the stored verdict, or nullptr on
+  /// a miss.
+  const Verdict *lookup(const graph::EventGraph &G,
+                        const std::vector<std::vector<Observed>> &Results);
+
+  /// Stores \p V under the key of the last lookup(), which must have
+  /// missed.
+  void store(const Verdict &V);
+
+  uint64_t hits() const { return Hits; }
+  uint64_t misses() const { return Misses; }
+
+private:
+  struct Slot {
+    std::vector<uint64_t> Key; ///< Empty while unused; real keys never are.
+    Verdict V;
+  };
+  std::array<Slot, Slots> Table;
+  std::vector<uint64_t> Key; ///< The last lookup's key (buffer reused).
+  size_t KeySlot = 0;        ///< The last lookup's slot.
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+};
+
 /// Per-body state shared between the workload closures and the caller;
 /// lets the driver read the last execution's verdict after a replay.
 struct RunState {
@@ -95,6 +135,10 @@ struct RunState {
   /// When set, budget overruns are also folded into this cross-worker
   /// counter (see makeWorkload).
   std::shared_ptr<std::atomic<uint64_t>> SharedLinAborts;
+
+  /// Verdicts of completed executions. S, Mut and Limits are fixed for the
+  /// body's lifetime, so they need no place in the key.
+  VerdictMemo Memo;
 };
 
 /// Exploration options tuned for \p S (preemption bound from the scenario,

@@ -188,6 +188,31 @@ std::string EventGraph::checkWellFormed() const {
   return "";
 }
 
+void EventGraph::appendKey(std::vector<uint64_t> &Out) const {
+  static_assert(sizeof(unsigned) == 4 && sizeof(EventId) == 4,
+                "key packs ids and 32-bit fields two to a word");
+  Out.push_back(Events.size());
+  for (size_t Id = 0, N = Events.size(); Id != N; ++Id) {
+    if (States[Id] != State::Committed) {
+      // A reserved or retracted id's payload is never read (it may hold
+      // garbage after a trim), so only its state is keyed.
+      Out.push_back(static_cast<uint64_t>(States[Id]));
+      continue;
+    }
+    const Event &E = Events[Id];
+    Out.push_back(static_cast<uint64_t>(State::Committed) |
+                  static_cast<uint64_t>(E.Kind) << 8 |
+                  static_cast<uint64_t>(E.Thread) << 32);
+    Out.push_back(E.ObjId | static_cast<uint64_t>(E.CommitIdx) << 32);
+    Out.push_back(E.V1);
+    Out.push_back(E.V2);
+    E.LogView.appendWords(Out);
+  }
+  Out.push_back(So.size());
+  for (const SoEdge &Edge : So)
+    Out.push_back(Edge.From | static_cast<uint64_t>(Edge.To) << 32);
+}
+
 std::string EventGraph::str() const {
   std::string Out;
   for (EventId Id : committedEvents()) {

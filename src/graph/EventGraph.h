@@ -134,6 +134,15 @@ public:
   /// Returns an error description, or empty if well-formed.
   std::string checkWellFormed() const;
 
+  /// Appends an exact encoding of everything a spec check can read to
+  /// \p Out: each id's state and, for committed events, the kind, V1, V2,
+  /// ObjId, Thread, CommitIdx and LogView, then the so edges. Two graphs
+  /// with equal keys answer every query above identically. PhysView is
+  /// left out: no check reads it (spec/ and check/ only consult logical
+  /// views), and physical views differ between interleavings that build
+  /// the same graph. Used to memoize verdicts (check/Harness.h).
+  void appendKey(std::vector<uint64_t> &Out) const;
+
   std::string str() const;
 
 private:

@@ -288,14 +288,15 @@ void Explorer::endExecution(Scheduler::RunResult R) {
       Sum.Exhausted = true;
   }
 
-  finalizePerf();
-
+  // Perf and Tags are filled where they are read (summary() and the
+  // progress line), not here: this runs once per execution.
   if (Opts.ProgressIntervalSec > 0) {
     auto Now = std::chrono::steady_clock::now();
     double Since =
         std::chrono::duration<double>(Now - LastProgress).count();
     if (Since >= Opts.ProgressIntervalSec) {
       LastProgress = Now;
+      finalizePerf(Now);
       std::fprintf(stderr,
                    "[explore] %llu execs, %.0f execs/s, depth<=%llu, "
                    "frontier~%llu\n",
@@ -307,10 +308,13 @@ void Explorer::endExecution(Scheduler::RunResult R) {
   }
 }
 
-void Explorer::finalizePerf() {
-  double Wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
+const Explorer::Summary &Explorer::summary() {
+  finalizePerf(std::chrono::steady_clock::now());
+  return Sum;
+}
+
+void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
+  double Wall = std::chrono::duration<double>(Now - Start).count();
   Sum.Perf.WallSeconds = Wall;
   Sum.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Sum.Executions) / Wall : 0.0;
@@ -418,7 +422,6 @@ std::vector<DecisionTree::Prefix> Explorer::drainFrontier() {
   // remainder now lives in Out and carries its own exhaustion accounting.
   HasWork = false;
   Sum.Exhausted = true;
-  finalizePerf();
   return Out;
 }
 
@@ -554,6 +557,10 @@ std::string Explorer::Summary::json() const {
   J.field("peak_frontier", Perf.PeakFrontier);
   J.field("peak_queue", Perf.PeakQueue);
   J.field("workers", Perf.Workers);
+  J.field("steps_executed", Perf.StepsExecuted);
+  J.field("steps_logical", Perf.StepsLogical);
+  J.field("cow_resumes", Perf.CowResumes);
+  J.field("root_runs", Perf.RootRuns);
   J.key("tags");
   J.beginObject();
   for (const auto &[Name, Stat] : Tags) {

@@ -247,7 +247,9 @@ public:
   void noteChoiceDup(uint64_t Mask) override { PendingDupMask = Mask; }
 
   const Options &options() const { return Opts; }
-  const Summary &summary() const { return Sum; }
+  /// The summary so far. Timing and per-tag statistics are folded in by
+  /// this call, not after every execution.
+  const Summary &summary();
 
   // -- Copy-on-write engine hooks (sim/Engine.h) -----------------------
 
@@ -363,7 +365,7 @@ private:
   std::chrono::steady_clock::time_point LastProgress;
 
   TagStat &tagStat(const char *Tag);
-  void finalizePerf();
+  void finalizePerf(std::chrono::steady_clock::time_point Now);
 };
 
 /// Convenience driver: runs \p Setup then the scheduler for every explored

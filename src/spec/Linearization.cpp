@@ -2,8 +2,6 @@
 
 #include "spec/Linearization.h"
 
-#include "support/Error.h"
-
 #include <algorithm>
 #include <deque>
 #include <set>
@@ -111,8 +109,14 @@ LinearizationResult spec::findLinearization(const EventGraph &G,
   S.MaxStates = Limits.MaxStates;
   S.Evs = G.objectEvents(ObjId);
   unsigned N = static_cast<unsigned>(S.Evs.size());
-  if (N > 64)
-    fatalError("linearization search limited to 64 events");
+  LinearizationResult R;
+  if (N > 64) {
+    // The search state is a 64-bit mask; a longer history is reported as
+    // an aborted search (verdict unknown, counted as a lin_abort) instead
+    // of ending the whole run.
+    R.Aborted = true;
+    return R;
+  }
 
   S.LhbPredMask.assign(N, 0);
   for (unsigned I = 0; I != N; ++I)
@@ -120,7 +124,6 @@ LinearizationResult spec::findLinearization(const EventGraph &G,
       if (I != J && G.lhb(S.Evs[J], S.Evs[I]))
         S.LhbPredMask[I] |= 1ull << J;
 
-  LinearizationResult R;
   R.Found = S.dfs(0, {});
   R.Order = std::move(S.Order);
   R.StatesExplored = S.States;

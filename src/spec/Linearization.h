@@ -41,7 +41,8 @@ struct LinearizationResult {
   /// Search effort, for reporting.
   uint64_t StatesExplored = 0;
   /// The state budget (LinearizeLimits::MaxStates) was exhausted before the
-  /// search concluded; Found=false then means "unknown", not "no witness".
+  /// search concluded, or the history exceeds 64 events; Found=false then
+  /// means "unknown", not "no witness".
   bool Aborted = false;
 };
 
@@ -54,7 +55,7 @@ struct LinearizeLimits {
 
 /// Searches for a linearization of object \p ObjId's committed events.
 /// Supports histories of up to 64 events (model-checked workloads are far
-/// smaller).
+/// smaller); a longer history comes back Aborted, like an exhausted budget.
 LinearizationResult findLinearization(const graph::EventGraph &G,
                                       unsigned ObjId, SeqSpec Spec,
                                       LinearizeLimits Limits = {});

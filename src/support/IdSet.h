@@ -96,6 +96,17 @@ public:
     }
   }
 
+  /// Appends an exact encoding of the set to \p Out: the number of words up
+  /// to the last nonzero one, then those words. Equal sets encode equally
+  /// whatever their backing capacity.
+  void appendWords(std::vector<uint64_t> &Out) const {
+    std::size_t N = Words.size();
+    while (N && !Words[N - 1])
+      --N;
+    Out.push_back(N);
+    Out.insert(Out.end(), Words.begin(), Words.begin() + N);
+  }
+
   /// Materializes the set as a sorted vector of ids.
   std::vector<uint32_t> toVector() const {
     std::vector<uint32_t> Out;

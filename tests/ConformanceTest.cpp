@@ -202,6 +202,111 @@ TEST(ConformanceSweep, FingerprintIsSeedSensitive) {
   EXPECT_EQ(A.fingerprint(), C.fingerprint());
 }
 
+TEST(ConformanceSweep, FingerprintPinnedForSeedOne) {
+  // Pinned in the default configuration (source sets, auto engine, cap
+  // 200,000, one worker), so that work meant to change only speed (the
+  // verdict memo, engine or bookkeeping changes) provably leaves
+  // exploration and verdicts alone. A change that alters exploration on
+  // purpose re-pins it: take the value that
+  //   compass_check sweep --seed 1 --per-lib 2
+  // prints on its `fingerprint:` line, and record the new pin and the
+  // reason in CHANGES.md.
+  SweepOptions O;
+  O.ScenariosPerLib = 2;
+  SweepReport Rep = runSweep(O);
+  EXPECT_TRUE(Rep.clean()) << Rep.str();
+  EXPECT_EQ(Rep.fingerprint(), 0xa1085fde51d32cc8ull) << Rep.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Verdict memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Explores \p S with an instrumented body whose Check also re-runs the
+/// reference model afresh after every memoized verdict, and expects
+/// the two verdicts to agree field by field.
+struct CrossChecked {
+  sim::Explorer::Summary Sum;
+  std::shared_ptr<RunState> State;
+};
+CrossChecked exploreCrossChecked(const Scenario &S, Mutation Mut) {
+  Instrumented I = makeInstrumented(S, Mut, scenarioOptions(S, 200000, 1));
+  sim::Workload::Body B = I.W.makeBody();
+  std::shared_ptr<RunState> St = I.State;
+  sim::Workload::CheckFn Memoized = std::move(B.Check);
+  B.Check = [St, Memoized](rmc::Machine &M, sim::Scheduler &Sch,
+                           sim::Scheduler::RunResult R) {
+    bool Ok = Memoized(M, Sch, R);
+    if (R == sim::Scheduler::RunResult::Done) {
+      Verdict Fresh = St->A->verdict(*St->Mon, St->Results, St->Limits);
+      const Verdict &Got = St->LastVerdict;
+      EXPECT_EQ(Got.Ok, Fresh.Ok);
+      EXPECT_EQ(Got.Rule, Fresh.Rule);
+      EXPECT_EQ(Got.Detail, Fresh.Detail);
+      EXPECT_EQ(Got.LinStates, Fresh.LinStates);
+      EXPECT_EQ(Got.LinAborted, Fresh.LinAborted);
+    }
+    return Ok;
+  };
+  return {sim::explore(sim::Workload(I.W.options(), std::move(B))), St};
+}
+
+} // namespace
+
+TEST(VerdictMemo, HitsOnEbrGhostReorderings) {
+  // The EBR wrapper's ghost steps reorder without changing the stack's
+  // event graph, so many executions repeat an already checked input.
+  Scenario S = generateScenario(Lib::TreiberEbr,
+                                scenarioSeed(1, Lib::TreiberEbr, 0));
+  CrossChecked C = exploreCrossChecked(S, Mutation::None);
+  EXPECT_EQ(C.Sum.Violations, 0u);
+  EXPECT_GT(C.State->Memo.hits(), 0u) << S.str();
+  // Every completed execution went through the memo exactly once.
+  EXPECT_EQ(C.State->Memo.hits() + C.State->Memo.misses(), C.Sum.Completed);
+}
+
+TEST(VerdictMemo, FailingVerdictsReplayExactly) {
+  // A mutant's violations come back from the memo with the same rule and
+  // message as a fresh check.
+  MutationOptions O = quickHunt();
+  O.Shrink = false;
+  MutantReport R = huntMutant(Mutation::MsQueueRelaxedPublish, O);
+  ASSERT_TRUE(R.Killed);
+  CrossChecked C =
+      exploreCrossChecked(R.Killer, Mutation::MsQueueRelaxedPublish);
+  EXPECT_GT(C.Sum.Violations, 0u);
+}
+
+TEST(VerdictMemo, KeysObservedResults) {
+  graph::EventGraph G;
+  std::vector<std::vector<Observed>> Results = {{{OpCode::Push, 1, 1}},
+                                                {{OpCode::Pop, 0, 1}}};
+  VerdictMemo Memo;
+  EXPECT_EQ(Memo.lookup(G, Results), nullptr);
+  Memo.store(Verdict::fail("OBS", "stored"));
+  const Verdict *Hit = Memo.lookup(G, Results);
+  ASSERT_NE(Hit, nullptr);
+  EXPECT_EQ(Hit->Detail, "stored");
+
+  auto Changed = Results;
+  Changed[1][0].Result = graph::EmptyVal;
+  EXPECT_EQ(Memo.lookup(G, Changed), nullptr) << "a result";
+  Changed = Results;
+  Changed[0][0].Arg = 2;
+  EXPECT_EQ(Memo.lookup(G, Changed), nullptr) << "an argument";
+  Changed = Results;
+  Changed[1][0].Code = OpCode::Deq;
+  EXPECT_EQ(Memo.lookup(G, Changed), nullptr) << "an op code";
+  Changed = {Results[1], Results[0]};
+  EXPECT_EQ(Memo.lookup(G, Changed), nullptr) << "the thread order";
+  Changed = {{Results[0][0], Results[1][0]}, {}};
+  EXPECT_EQ(Memo.lookup(G, Changed), nullptr) << "the op-to-thread split";
+  EXPECT_EQ(Memo.hits(), 1u);
+  EXPECT_EQ(Memo.misses(), 6u);
+}
+
 //===----------------------------------------------------------------------===//
 // Spec strengths: the paper's §3.2 separation, live
 //===----------------------------------------------------------------------===//

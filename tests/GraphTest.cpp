@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace compass;
 using namespace compass::graph;
 
@@ -176,4 +178,59 @@ TEST(EventGraphTest, StrListsEventsAndEdges) {
   std::string S = G.str();
   EXPECT_NE(S.find("Enq(1)"), std::string::npos);
   EXPECT_NE(S.find("so: #0 -> #1"), std::string::npos);
+}
+
+namespace {
+
+/// The verdict-memo key of a small graph covering every id state: #0 and
+/// #2 committed and joined by an so edge, #1 retracted (or left reserved),
+/// #3 reserved. \p EditB changes #2's event before it is added.
+std::vector<uint64_t> keyOf(const std::function<void(Event &)> &EditB,
+                            bool RetractOne = true, bool WithSo = true) {
+  EventGraph G;
+  for (int I = 0; I != 4; ++I)
+    G.reserve();
+  G.addRaw(0, mkEvent(OpKind::Enq, 1, 0, 0, 0, 0));
+  Event B = mkEvent(OpKind::DeqOk, 1, 0, 1, 1, 2, {0});
+  EditB(B);
+  G.addRaw(2, std::move(B));
+  if (RetractOne)
+    G.retract(1);
+  if (WithSo)
+    G.addSo(0, 2);
+  std::vector<uint64_t> Key;
+  G.appendKey(Key);
+  return Key;
+}
+
+} // namespace
+
+TEST(EventGraphTest, KeyCoversEveryCheckedFieldButPhysView) {
+  const std::vector<uint64_t> Base = keyOf([](Event &) {});
+  EXPECT_EQ(keyOf([](Event &) {}), Base) << "keys are deterministic";
+
+  const std::pair<const char *, std::function<void(Event &)>> Edits[] = {
+      {"Kind", [](Event &E) { E.Kind = OpKind::DeqEmpty; }},
+      {"V1", [](Event &E) { E.V1 = 2; }},
+      {"V2", [](Event &E) { E.V2 = 7; }},
+      {"ObjId", [](Event &E) { E.ObjId = 1; }},
+      {"Thread", [](Event &E) { E.Thread = 2; }},
+      {"CommitIdx", [](Event &E) { E.CommitIdx = 5; }},
+      {"LogView", [](Event &E) { E.LogView.insert(1); }},
+  };
+  for (const auto &[Field, Edit] : Edits)
+    EXPECT_NE(keyOf(Edit), Base) << "changing " << Field;
+  EXPECT_NE(keyOf([](Event &) {}, /*RetractOne=*/false), Base)
+      << "changing an id's state";
+  EXPECT_NE(keyOf([](Event &) {}, true, /*WithSo=*/false), Base)
+      << "dropping the so edge";
+
+  EXPECT_EQ(keyOf([](Event &E) { E.PhysView.raise(3, 9); }), Base)
+      << "PhysView is not keyed";
+  EXPECT_EQ(keyOf([](Event &E) {
+              E.LogView.insert(300);
+              E.LogView.erase(300);
+            }),
+            Base)
+      << "a logical view's spare capacity is not keyed";
 }

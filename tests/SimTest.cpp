@@ -499,3 +499,31 @@ TEST(ExplorerTest, SummaryStringMentionsCounts) {
   EXPECT_NE(Str.find("executions=3"), std::string::npos);
   EXPECT_NE(Str.find("exhaustive"), std::string::npos);
 }
+
+TEST(ExplorerTest, SummaryJsonReportsCopyOnWriteCounters) {
+  // Two threads storing twice: a copy-on-write-safe body whose sibling
+  // executions resume from snapshots instead of the root.
+  Workload::Body B{[](Machine &M, Scheduler &S) {
+    Loc X = M.alloc("x"), Y = M.alloc("y");
+    for (int T = 0; T != 2; ++T) {
+      Env &E = S.newThread();
+      S.start(E, storeTwice(E, X, Y));
+    }
+  }};
+  B.CowSafe = true;
+  Explorer::Summary Sum = explore(Workload(Explorer::Options{}, B));
+  ASSERT_GT(Sum.Perf.CowResumes, 0u);
+  ASSERT_GT(Sum.Perf.StepsLogical, Sum.Perf.StepsExecuted);
+  std::string J = Sum.json();
+  auto Field = [&](const char *Key, uint64_t V) {
+    return "\"" + std::string(Key) + "\":" + std::to_string(V);
+  };
+  EXPECT_NE(J.find(Field("steps_executed", Sum.Perf.StepsExecuted)),
+            std::string::npos) << J;
+  EXPECT_NE(J.find(Field("steps_logical", Sum.Perf.StepsLogical)),
+            std::string::npos) << J;
+  EXPECT_NE(J.find(Field("cow_resumes", Sum.Perf.CowResumes)),
+            std::string::npos) << J;
+  EXPECT_NE(J.find(Field("root_runs", Sum.Perf.RootRuns)), std::string::npos)
+      << J;
+}

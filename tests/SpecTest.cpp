@@ -475,3 +475,24 @@ TEST(LinearizationTest, SearchReportsEffort) {
   auto R = findLinearization(B.G, 0, SeqSpec::Stack);
   EXPECT_GT(R.StatesExplored, 0u);
 }
+
+TEST(LinearizationTest, OverlongHistoryAbortsInsteadOfExiting) {
+  // 65 pushes exceed the search's 64-event state mask: the result is an
+  // aborted search (counted as lin_abort by the harness), not a fatal
+  // error that would end the whole run.
+  GraphBuilder B;
+  for (rmc::Value V = 1; V <= 65; ++V)
+    B.add(OpKind::Push, V);
+  auto R = findLinearization(B.G, 0, SeqSpec::Stack);
+  EXPECT_TRUE(R.Aborted);
+  EXPECT_FALSE(R.Found);
+  EXPECT_TRUE(R.Order.empty());
+
+  // 64 events are still searched.
+  GraphBuilder C;
+  for (rmc::Value V = 1; V <= 64; ++V)
+    C.add(OpKind::Push, V);
+  auto R64 = findLinearization(C.G, 0, SeqSpec::Stack);
+  EXPECT_FALSE(R64.Aborted);
+  EXPECT_TRUE(R64.Found);
+}
