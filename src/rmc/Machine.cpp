@@ -341,7 +341,7 @@ Value Machine::load(unsigned T, Loc L, MemOrder O) {
         Mask |= uint64_t{1} << K;
     }
     if (Mask)
-      Choices.noteChoiceDup(Mask);
+      Choices.noteSkippable(Mask);
   }
   unsigned Pick = NFull == 1 ? 0
                   : N < NFull ? Choices.chooseLimited(NFull, N, "load")
@@ -427,7 +427,7 @@ Value Machine::loadWhere(unsigned T, Loc L, MemOrder O,
           Mask |= uint64_t{1} << K;
       }
       if (Mask)
-        Choices.noteChoiceDup(Mask);
+        Choices.noteSkippable(Mask);
     }
     if (NumFull > 1)
       Pick = NumChoices < NumFull
@@ -552,7 +552,7 @@ Machine::CasResult Machine::cas(unsigned T, Loc L, Value Expected,
         Mask |= uint64_t{1} << (Base + K);
     }
     if (Mask)
-      Choices.noteChoiceDup(Mask);
+      Choices.noteSkippable(Mask);
   }
   unsigned Pick =
       NumAllFull == 1 ? 0

@@ -380,7 +380,7 @@ public:
 
   /// When enabled, load/loadWhere/cas announce a reads-from duplicate mask
   /// to the ChoiceSource right before each multi-way choice
-  /// (ChoiceSource::noteChoiceDup): bit k marks an alternative whose
+  /// (ChoiceSource::noteSkippable): bit k marks an alternative whose
   /// message is value- and knowledge-identical to alternative k-1's,
   /// timestamp-adjacent, and strictly below the modification-order maximum
   /// — the two post-states are bisimilar for every verdict we check, so

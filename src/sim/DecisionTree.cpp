@@ -23,9 +23,11 @@ unsigned DecisionTree::next(unsigned Count, const char *Tag) {
   return next(Count, Count, Tag);
 }
 
-unsigned DecisionTree::next(unsigned Count, unsigned Limit, const char *Tag) {
+unsigned DecisionTree::next(unsigned Count, unsigned Limit, const char *Tag,
+                            unsigned First) {
   assert(Count >= 1 && "choice with no alternatives");
   assert(Limit >= 1 && Limit <= Count && "enumeration limit out of range");
+  assert(First < Limit && "first alternative out of range");
   if (Pos < Trace.size()) {
     // Replaying the backtracked prefix; the program must be deterministic
     // given the decision sequence. Only the recorded arity is validated:
@@ -36,9 +38,10 @@ unsigned DecisionTree::next(unsigned Count, unsigned Limit, const char *Tag) {
       fatalError("nondeterministic replay: decision arity changed");
     return Trace[Pos++].Chosen;
   }
-  Trace.push_back({0, Limit, Count, Tag});
+  Trace.push_back({First, Limit, Count, Tag});
+  Open += Limit - First - 1;
   ++Pos;
-  return 0;
+  return First;
 }
 
 bool DecisionTree::advance() {
@@ -47,14 +50,19 @@ bool DecisionTree::advance() {
   // an untried alternative this tree owns, discarding everything below it.
   // Seed decisions are pinned (Limit == Chosen + 1), so the loop never
   // advances past the seed prefix.
+  // Popped decisions have no untried alternative left, so Open only loses
+  // the one alternative taken here.
   while (Trace.size() > SeedLen) {
     Decision &D = Trace.back();
     if (D.Chosen + 1 < D.Limit) {
       ++D.Chosen;
+      --Open;
+      Pos = Trace.size();
       return true;
     }
     Trace.pop_back();
   }
+  Pos = Trace.size();
   Exhausted = true;
   return false;
 }
@@ -65,22 +73,6 @@ std::vector<unsigned> DecisionTree::decisions() const {
   for (const Decision &D : Trace)
     Out.push_back(D.Chosen);
   return Out;
-}
-
-uint64_t DecisionTree::frontierSize() const {
-  uint64_t N = 0;
-  for (const Decision &D : Trace)
-    N += D.Limit - D.Chosen - 1;
-  return N;
-}
-
-bool DecisionTree::splittable() const {
-  if (Exhausted)
-    return false;
-  for (size_t I = SeedLen, E = Trace.size(); I != E; ++I)
-    if (Trace[I].Chosen + 1 < Trace[I].Limit)
-      return true;
-  return false;
 }
 
 std::vector<DecisionTree::Prefix> DecisionTree::frontierPrefixes() const {
@@ -124,11 +116,11 @@ std::vector<DecisionTree::Prefix> DecisionTree::split(size_t MaxDonations) {
   // largest subtrees, which keeps the shared queue coarse-grained.
   for (size_t I = SeedLen, E = Trace.size(); I != E; ++I) {
     Decision &D = Trace[I];
-    unsigned Open = D.Limit - D.Chosen - 1;
-    if (Open == 0)
+    const unsigned Untried = D.Limit - D.Chosen - 1;
+    if (Untried == 0)
       continue;
     unsigned Donate =
-        static_cast<unsigned>(std::min<size_t>(Open, MaxDonations));
+        static_cast<unsigned>(std::min<size_t>(Untried, MaxDonations));
     // Donate the *highest* alternatives so the donor's remaining range
     // [Chosen, Limit) stays contiguous.
     for (unsigned A = D.Limit - Donate; A != D.Limit; ++A) {
@@ -143,6 +135,7 @@ std::vector<DecisionTree::Prefix> DecisionTree::split(size_t MaxDonations) {
       Out.push_back(std::move(P));
     }
     D.Limit -= Donate;
+    Open -= Donate;
     return Out;
   }
   return Out;

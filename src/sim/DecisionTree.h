@@ -121,10 +121,13 @@ public:
   unsigned next(unsigned Count, const char *Tag);
 
   /// Like next(), but a fresh node enumerates only alternatives in
-  /// [0, Limit) while still recording arity \p Count — the source-set
-  /// restricted form of a choice whose unrestricted arity is Count.
-  /// Replay of existing nodes validates Count only (see the impl).
-  unsigned next(unsigned Count, unsigned Limit, const char *Tag);
+  /// [First, Limit) while still recording arity \p Count — the source-set
+  /// restricted form of a choice whose unrestricted arity is Count, whose
+  /// alternatives below First are known to be covered without running
+  /// them. A fresh node starts at First. Replay of existing nodes
+  /// validates Count only (see the impl).
+  unsigned next(unsigned Count, unsigned Limit, const char *Tag,
+                unsigned First = 0);
 
   /// True while the replay cursor is inside the recorded path (the program
   /// is deterministic up to here).
@@ -132,7 +135,11 @@ public:
 
   /// Backtracks after a finished execution: advances the deepest decision
   /// with an untried alternative, discarding everything below it. Returns
-  /// false when the (sub)tree is exhausted.
+  /// false when the (sub)tree is exhausted. Leaves the replay cursor at the
+  /// end of the new path, so a caller that discards the freshly advanced
+  /// alternative without running it (a skipped sibling) may call advance()
+  /// again at once, and split()/frontierPrefixes() see a between-executions
+  /// tree.
   bool advance();
 
   bool exhausted() const { return Exhausted; }
@@ -149,11 +156,11 @@ public:
   std::vector<unsigned> decisions() const;
 
   /// Number of untried alternatives hanging off the current path — the DFS
-  /// frontier size.
-  uint64_t frontierSize() const;
+  /// frontier size. Maintained incrementally: O(1).
+  uint64_t frontierSize() const { return Open; }
 
   /// True if split() would produce at least one donation.
-  bool splittable() const;
+  bool splittable() const { return !Exhausted && Open != 0; }
 
   /// Converts the *entire* remaining subtree into a disjoint set of pinned
   /// prefixes: one per untried alternative along the current path plus the
@@ -180,6 +187,8 @@ private:
   std::vector<Decision> Trace;
   size_t Pos = 0;
   size_t SeedLen = 0;
+  /// Sum of Limit - Chosen - 1 over Trace (seed decisions contribute 0).
+  uint64_t Open = 0;
   bool Exhausted = false;
 };
 

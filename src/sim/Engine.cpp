@@ -87,10 +87,9 @@ void Engine::resumeFrom(const SnapSlot &Slot) {
     Body.CowRestore(Slot.Client);
   S.endFastForward(Slot.SBound);
   // The decisions before the boundary are already on the tree path; skip
-  // their replay but credit their per-tag statistics so the summary core
-  // stays engine-path independent.
+  // their replay (the explorer counts per-tag statistics over the whole
+  // path, so the summary core stays engine-path independent).
   Ex.resumeReplayAt(Slot.SBound.TreePos);
-  Ex.creditReplayedPrefix(Slot.SBound.TreePos);
   ++Resumes;
 }
 

@@ -6,6 +6,7 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -75,6 +76,9 @@ Explorer::Explorer(Options O, DecisionTree::Prefix Seed)
   if (RedEnabled && Seed.HasSleep)
     Red.setSeed(std::move(Seed.Sleep), Seed.SleepOrdinal);
   Tree = DecisionTree(std::move(Seed));
+  // The pinned seed lies on every path this explorer executes.
+  for (const DecisionTree::Decision &D : Tree.trace())
+    pushPathStat(D.Tag, D.Count);
 }
 
 bool Explorer::hasWork() const {
@@ -93,20 +97,42 @@ bool Explorer::beginExecution() {
     Tree.beginExecution();
   if (RedEnabled)
     Red.beginExecution();
-  PendingDupMask = 0;
+  PendingSkipMask = 0;
   InExecution = true;
   return true;
 }
 
-Explorer::TagStat &Explorer::tagStat(const char *Tag) {
+size_t Explorer::tagIndex(const char *Tag) {
   // Per-tag statistics, keyed by pointer identity of the static string
   // (merged by name into Summary.Tags). A linear scan beats hashing for the
   // handful of distinct tags in play.
-  for (auto &Entry : TagStats)
-    if (Entry.first == Tag || std::strcmp(Entry.first, Tag) == 0)
-      return Entry.second;
+  for (size_t I = 0, E = TagStats.size(); I != E; ++I)
+    if (TagStats[I].first == Tag || std::strcmp(TagStats[I].first, Tag) == 0)
+      return I;
   TagStats.push_back({Tag, TagStat{}});
-  return TagStats.back().second;
+  PathStats.emplace_back();
+  return TagStats.size() - 1;
+}
+
+void Explorer::pushPathStat(const char *Tag, unsigned Count) {
+  const size_t I = tagIndex(Tag);
+  PathNodes.push_back({static_cast<uint32_t>(I), Count});
+  TagStat &Stat = PathStats[I];
+  ++Stat.Choices;
+  Stat.AltSum += Count;
+  Stat.MaxArity = std::max(Stat.MaxArity, Count);
+}
+
+void Explorer::trimPathStats() {
+  // Drops the decisions advance() popped. MaxArity stays: it covers every
+  // decision ever on the path, all of which lay on a finished execution's
+  // path (or will, for the seed) by the time it is folded in.
+  while (PathNodes.size() > Tree.depth()) {
+    TagStat &Stat = PathStats[PathNodes.back().Tag];
+    --Stat.Choices;
+    Stat.AltSum -= PathNodes.back().Count;
+    PathNodes.pop_back();
+  }
 }
 
 unsigned Explorer::choose(unsigned Count, const char *Tag) {
@@ -119,12 +145,11 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
   assert(Count >= 1 && "choice with no alternatives");
   assert(Limit >= 1 && Limit <= Count && "enumeration limit out of range");
 
-  TagStat &Stat = tagStat(Tag);
-  ++Stat.Choices;
-  Stat.AltSum += Count;
-  Stat.MaxArity = std::max(Stat.MaxArity, Count);
-
   if (Opts.ExploreMode == Mode::Random) {
+    TagStat &Stat = TagStats[tagIndex(Tag)].second;
+    ++Stat.Choices;
+    Stat.AltSum += Count;
+    Stat.MaxArity = std::max(Stat.MaxArity, Count);
     // Record the decision even in random mode: a failing sampled run must
     // be reproducible via replay() from currentDecisions(). (Reduction —
     // and with it restricted choice sets — only exists in exhaustive mode,
@@ -134,28 +159,44 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
     return Pick;
   }
 
-  // Record the machine-announced reads-from duplicate mask for this node
-  // (source-set mode). Masks are pure functions of the decision prefix:
-  // replayed nodes recompute the identical mask, and nodes skipped by a
-  // copy-on-write resume keep the entry their recording execution wrote.
+  const size_t Pos = Tree.position();
+  const bool Fresh = !Tree.replaying();
+  unsigned First = 0;
+  // Record the announced skippable mask for this node (source-set mode).
+  // Masks are pure functions of the decision prefix: replayed nodes
+  // recompute the identical mask, and nodes skipped by a copy-on-write
+  // resume keep the entry their recording execution wrote.
   if (RedEnabled && Red.sourceSets()) {
-    const size_t Pos = Tree.position();
-    if (DupMasks.size() <= Pos)
-      DupMasks.resize(Pos + 1, 0);
-    DupMasks[Pos] = PendingDupMask;
-    PendingDupMask = 0;
+    if (SkipMasks.size() <= Pos)
+      SkipMasks.resize(Pos + 1, 0);
+    SkipMasks[Pos] = PendingSkipMask;
+    // A fresh node starts at its first alternative not known to be
+    // covered; the covered ones before it are skipped without an
+    // execution, exactly like covered siblings at advance time. When every
+    // alternative is covered, the node starts at 0 and the execution is
+    // cut where the reduction prunes it.
+    if (Fresh && PendingSkipMask != 0) {
+      First = static_cast<unsigned>(std::countr_one(PendingSkipMask));
+      if (First >= Limit)
+        First = 0;
+      else if (First != 0)
+        countSkipped(skipKindAt(Pos, Tag, 0), First);
+    }
+    PendingSkipMask = 0;
   }
 
-  // A fresh multi-enumerable node is a potential backtrack target: let
-  // the copy-on-write engine snapshot the pre-decision state so sibling
-  // alternatives resume here. Replayed nodes (including the pinned seed)
-  // already have their snapshots from the execution that created them.
-  // Limit == 1 nodes (a restricted set collapsed to one alternative) are
-  // never advance()/split() targets, so they need no snapshot.
-  if (SnapHook && Limit > 1 && !Tree.replaying())
-    SnapHook(Tree.position(), Tag);
+  // A fresh node with more than one alternative left is a potential
+  // backtrack target: let the copy-on-write engine snapshot the
+  // pre-decision state so sibling alternatives resume here. Replayed nodes
+  // (including the pinned seed) already have their snapshots from the
+  // execution that created them; nodes with a single enumerable
+  // alternative are never advance()/split() targets.
+  if (SnapHook && Fresh && Limit - First > 1)
+    SnapHook(Pos, Tag);
 
-  return Tree.next(Count, Limit, Tag);
+  if (Fresh)
+    pushPathStat(Tag, Count);
+  return Tree.next(Count, Limit, Tag, First);
 }
 
 size_t Explorer::decisionPosition() const {
@@ -167,23 +208,6 @@ void Explorer::resumeReplayAt(size_t Pos) {
   assert(InExecution && "resumeReplayAt outside an execution");
   assert(Opts.ExploreMode == Mode::Exhaustive);
   Tree.resumeAt(Pos);
-}
-
-void Explorer::creditReplayedPrefix(size_t Pos) {
-  // The skipped prefix's decisions still exist on the tree path; account
-  // for the choose() calls a root replay would have made for them, so the
-  // deterministic core (per-tag totals) is engine-path independent.
-  const auto &Trace = Tree.trace();
-  assert(Pos <= Trace.size());
-  for (size_t I = 0; I != Pos; ++I) {
-    const DecisionTree::Decision &D = Trace[I];
-    // Count==1 decisions never reach choose(); the tree records only real
-    // alternatives, so every entry counts.
-    TagStat &Stat = tagStat(D.Tag);
-    ++Stat.Choices;
-    Stat.AltSum += D.Count;
-    Stat.MaxArity = std::max(Stat.MaxArity, D.Count);
-  }
 }
 
 const std::vector<DecisionTree::Decision> &Explorer::currentTrace() const {
@@ -258,6 +282,17 @@ void Explorer::endExecution(Scheduler::RunResult R) {
   Sum.MaxDepth = std::max<uint64_t>(Sum.MaxDepth, currentTrace().size());
 
   if (Opts.ExploreMode == Mode::Exhaustive) {
+    // Every decision on the finished path went through choose() in this
+    // execution, replayed or fresh, or was skipped by a copy-on-write
+    // resume that a root replay would have sent through choose(): the
+    // path's per-tag totals are exactly this execution's choice counts.
+    for (size_t I = 0, E = TagStats.size(); I != E; ++I) {
+      TagStat &Dst = TagStats[I].second;
+      const TagStat &Src = PathStats[I];
+      Dst.Choices += Src.Choices;
+      Dst.AltSum += Src.AltSum;
+      Dst.MaxArity = std::max(Dst.MaxArity, Src.MaxArity);
+    }
     Sum.Perf.PeakFrontier =
         std::max(Sum.Perf.PeakFrontier, Tree.frontierSize());
     HasWork = Tree.advance();
@@ -266,24 +301,19 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     // proved that sibling fully covered (Prune verdict recorded at its
     // choice point) or the machine flagged it as a reads-from duplicate of
     // the alternative just explored, discard the subtree without running an
-    // execution and advance again. The per-alternative verdicts and dup
-    // masks are pure functions of the (unchanged) prefix above the node, so
-    // this is exactly the verdict an execution taking the alternative would
-    // have received.
+    // execution and advance again. The skippable masks are pure functions
+    // of the (unchanged) prefix above the node, so this is exactly the
+    // verdict an execution taking the alternative would have received.
     while (HasWork) {
       const auto &Trace = Tree.trace();
-      if (Trace.empty())
-        break;
       const DecisionTree::Decision &D = Trace.back();
       const SkipKind SK = skipKindAt(Trace.size() - 1, D.Tag, D.Chosen);
       if (SK == SkipKind::None)
         break;
-      if (SK == SkipKind::Source)
-        ++Sum.SourcePruned;
-      else
-        ++Sum.CacheHits;
+      countSkipped(SK, 1);
       HasWork = Tree.advance();
     }
+    trimPathStats();
     if (!HasWork)
       Sum.Exhausted = true;
   }
@@ -320,6 +350,8 @@ void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
       Wall > 0 ? static_cast<double>(Sum.Executions) / Wall : 0.0;
   Sum.Tags.clear();
   for (const auto &[Tag, Stat] : TagStats) {
+    if (Stat.Choices == 0)
+      continue; // Seen only on a seed no execution has run yet.
     TagStat &Dst = Sum.Tags[Tag];
     Dst.Choices += Stat.Choices;
     Dst.AltSum += Stat.AltSum;
@@ -329,30 +361,23 @@ void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
 
 Explorer::SkipKind Explorer::skipKindAt(size_t Pos, const char *Tag,
                                         unsigned Alt) const {
-  if (!RedEnabled || !Red.sourceSets() || !Tag)
+  // Mask bit k set = alternative k is covered: a sched alternative the
+  // source-set reduction prunes, or a load/CAS alternative that reads the
+  // same value with the same knowledge as alternative k-1 (rmc::Machine's
+  // duplicate detection) — exploring it cannot change any verdict. Masks
+  // cover the first 64 alternatives only, and are recorded in source-set
+  // mode only.
+  if (Alt >= 64 || Pos >= SkipMasks.size() || !((SkipMasks[Pos] >> Alt) & 1))
     return SkipKind::None;
-  if (std::strcmp(Tag, "sched") == 0) {
-    // The decision's sched ordinal: sched-tagged decisions correspond 1:1,
-    // in order, to the reduction's recorded choice points. Counting over
-    // the live trace is valid for donated prefixes too — a donation's path
-    // matches the live trace on every position before its final decision.
-    const auto &Trace = Tree.trace();
-    size_t K = 0;
-    for (size_t I = 0, E = std::min(Pos, Trace.size()); I != E; ++I)
-      if (Trace[I].Tag && std::strcmp(Trace[I].Tag, "sched") == 0)
-        ++K;
-    return Red.skipAlternative(K, Alt) ? SkipKind::Source : SkipKind::None;
-  }
-  if (std::strcmp(Tag, "load") != 0 && std::strcmp(Tag, "load-where") != 0 &&
-      std::strcmp(Tag, "cas") != 0)
-    return SkipKind::None;
-  // Mask bit k set = alternative k reads the same value with the same
-  // knowledge as alternative k-1 (rmc::Machine's duplicate detection);
-  // exploring it cannot change any verdict, so the whole sibling subtree
-  // is a cache hit. Masks cover the first 64 alternatives only.
-  if (Alt < 64 && Pos < DupMasks.size() && ((DupMasks[Pos] >> Alt) & 1))
-    return SkipKind::RfDup;
-  return SkipKind::None;
+  return Tag && std::strcmp(Tag, "sched") == 0 ? SkipKind::Source
+                                                : SkipKind::RfDup;
+}
+
+void Explorer::countSkipped(SkipKind SK, uint64_t N) {
+  if (SK == SkipKind::Source)
+    Sum.SourcePruned += N;
+  else if (SK == SkipKind::RfDup)
+    Sum.CacheHits += N;
 }
 
 void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
@@ -367,12 +392,8 @@ void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
       const DecisionTree::Decision &D = Out[I].Path.back();
       SK = skipKindAt(Out[I].Path.size() - 1, D.Tag, D.Chosen);
     }
-    if (SK == SkipKind::Source) {
-      ++Sum.SourcePruned;
-      continue;
-    }
-    if (SK == SkipKind::RfDup) {
-      ++Sum.CacheHits;
+    if (SK != SkipKind::None) {
+      countSkipped(SK, 1);
       continue;
     }
     if (W != I)

@@ -154,9 +154,12 @@ public:
     uint64_t RfPruned = 0;    ///< Executions cut because a restricted
                               ///< re-run's reads-from set was empty
                               ///< (source-set mode only).
-    uint64_t SourcePruned = 0; ///< Covered sched siblings skipped at
-                               ///< advance time — no execution was run
-                               ///< (source-set mode only).
+    uint64_t SourcePruned = 0; ///< Sched alternatives the source-set
+                               ///< reduction prunes, skipped without an
+                               ///< execution: those before a fresh node's
+                               ///< first live alternative, and covered
+                               ///< siblings at advance time (source-set
+                               ///< mode only).
     uint64_t CacheHits = 0;  ///< Reads-from duplicate subtrees skipped at
                              ///< advance time — no execution was run
                              ///< (source-set mode only).
@@ -241,10 +244,13 @@ public:
 
   size_t decisionPosition() const override;
 
-  /// Reads-from duplicate mask for the next choose() (source-set mode);
-  /// announced by the machine, recorded per tree node so advance() can
-  /// skip duplicate subtrees (Summary::CacheHits).
-  void noteChoiceDup(uint64_t Mask) override { PendingDupMask = Mask; }
+  /// Covered alternatives of the next choose() (source-set mode): sched
+  /// alternatives the reduction prunes, announced by the scheduler, and
+  /// reads-from duplicates, announced by the machine. Recorded per tree
+  /// node; a fresh node starts at its first uncovered alternative, and
+  /// endExecution() skips covered siblings (Summary::SourcePruned /
+  /// Summary::CacheHits), neither burning an execution.
+  void noteSkippable(uint64_t Mask) override { PendingSkipMask = Mask; }
 
   const Options &options() const { return Opts; }
   /// The summary so far. Timing and per-tag statistics are folded in by
@@ -263,13 +269,10 @@ public:
 
   /// Jumps the decision-tree replay cursor to \p Pos for an execution
   /// resumed from a snapshot (the skipped decisions were validated when
-  /// the snapshot's execution recorded them).
+  /// the snapshot's execution recorded them). The skipped decisions still
+  /// count in the per-tag statistics, which sum each finished execution's
+  /// whole path.
   void resumeReplayAt(size_t Pos);
-
-  /// Adds the per-tag statistics the skipped prefix [0, \p Pos) would have
-  /// contributed had it been replayed through choose(), keeping the
-  /// summary's deterministic core independent of the engine path.
-  void creditReplayedPrefix(size_t Pos);
 
   /// The decision sequence of the current (or last) execution; useful for
   /// reporting reproducible counterexamples. Recorded in both exhaustive
@@ -336,6 +339,8 @@ private:
   /// serial skip decision for cross-worker fingerprint parity.
   enum class SkipKind { None, Source, RfDup };
   SkipKind skipKindAt(size_t Pos, const char *Tag, unsigned Alt) const;
+  /// Adds \p N skipped alternatives of kind \p SK to the summary.
+  void countSkipped(SkipKind SK, uint64_t N);
   /// Removes skip-marked prefixes from a donation batch, counting them into
   /// this (the donor's) summary — a recipient would otherwise burn an
   /// execution on a subtree serial exploration skips without one. KeepLast
@@ -343,28 +348,44 @@ private:
   /// already vetted by the advance loop.
   void dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
                             bool KeepLast);
-  /// Reads-from duplicate masks per tree-node position, recorded at
-  /// choose() time (source-set mode). Entries for positions skipped by a
-  /// copy-on-write resume persist from the execution that recorded them;
-  /// replayed positions are overwritten with identically recomputed masks
-  /// (they are pure functions of the decision prefix).
-  std::vector<uint64_t> DupMasks;
-  uint64_t PendingDupMask = 0;
+  /// Skippable masks per tree-node position, recorded at choose() time
+  /// (source-set mode). Entries for positions skipped by a copy-on-write
+  /// resume persist from the execution that recorded them; replayed
+  /// positions are overwritten with identically recomputed masks (they are
+  /// pure functions of the decision prefix).
+  std::vector<uint64_t> SkipMasks;
+  uint64_t PendingSkipMask = 0;
   /// Random-mode decision log (the DFS tree is unused in random mode, but
   /// failures must still be replayable — see currentDecisions()).
   std::vector<DecisionTree::Decision> RandTrace;
   bool InExecution = false;
   bool HasWork = true;
   Rng Rand;
-  /// Per-tag stats keyed by pointer identity of the static tag string
-  /// (folded into Summary.Tags by name on finalize). Linear scan: there are
-  /// only a handful of distinct tags ("sched", "load", "cas", ...).
+  /// Per-tag stats of finished executions, keyed by pointer identity of
+  /// the static tag string (folded into Summary.Tags by name on finalize).
+  /// Linear scan: there are only a handful of distinct tags ("sched",
+  /// "load", "cas", ...).
   std::vector<std::pair<const char *, TagStat>> TagStats;
+  /// Exhaustive mode counts choices per path, not per choose() call: each
+  /// finished execution adds the per-tag totals of its whole path (every
+  /// decision on it was chosen, replayed or skipped by a copy-on-write
+  /// resume). PathStats (index-aligned with TagStats) holds the totals of
+  /// the current path, PathNodes each path decision's tag index and arity;
+  /// both change only where the path does, so a resume costs nothing.
+  struct PathNode {
+    uint32_t Tag;
+    unsigned Count;
+  };
+  std::vector<TagStat> PathStats;
+  std::vector<PathNode> PathNodes;
   SnapshotHook SnapHook;
   std::chrono::steady_clock::time_point Start;
   std::chrono::steady_clock::time_point LastProgress;
 
-  TagStat &tagStat(const char *Tag);
+  size_t tagIndex(const char *Tag);
+  void pushPathStat(const char *Tag, unsigned Count);
+  /// Drops PathNodes entries past the path after advance().
+  void trimPathStats();
   void finalizePerf(std::chrono::steady_clock::time_point Now);
 };
 

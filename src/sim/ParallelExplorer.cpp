@@ -56,13 +56,14 @@ public:
   // Every ChoiceSource entry point must forward, or the facade silently
   // changes semantics: the base-class chooseLimited fallback would erase
   // the source-set restriction (full-arity enumeration), and a swallowed
-  // duplicate mask would disable reads-from caching — both only for
-  // worker explorers, breaking worker-count determinism.
+  // skippable mask would disable reads-from caching and start every fresh
+  // sched node at alternative 0 — all only for worker explorers, breaking
+  // worker-count determinism.
   unsigned chooseLimited(unsigned Count, unsigned Limit,
                          const char *Tag) override {
     return Cur->chooseLimited(Count, Limit, Tag);
   }
-  void noteChoiceDup(uint64_t Mask) override { Cur->noteChoiceDup(Mask); }
+  void noteSkippable(uint64_t Mask) override { Cur->noteSkippable(Mask); }
   size_t decisionPosition() const override {
     return Cur->decisionPosition();
   }
@@ -385,7 +386,8 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         Ex.recordCheck(R.CheckOk);
         Ex.endExecution(R.Run);
         St.Execs.fetch_add(1, std::memory_order_relaxed);
-        St.Frontier.store(Ex.frontierSize(), std::memory_order_relaxed);
+        const uint64_t Frontier = Ex.frontierSize();
+        St.Frontier.store(Frontier, std::memory_order_relaxed);
         St.Depth.store(Ex.currentDepth(), std::memory_order_relaxed);
         if (!R.CheckOk && Opts.StopOnViolation) {
           // DFS yields each subtree's lex-least violation first, so this
@@ -401,7 +403,7 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         if (N > 1 &&
             Sh.QueuedTotal.load(std::memory_order_relaxed) <
                 DonateLowWater &&
-            Ex.frontierSize() >= DonateMinFrontier && Ex.splittable()) {
+            Frontier >= DonateMinFrontier && Ex.splittable()) {
           std::vector<DecisionTree::Prefix> Don = Ex.split(DonateBatch);
           St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
           Sh.pushBatch(Wid, std::move(Don), /*CountAsDonation=*/true);

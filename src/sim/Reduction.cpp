@@ -73,54 +73,64 @@ void Reduction::insertMove(std::vector<SleepMove> &S, unsigned Tid,
   S.insert(S.begin() + I, SleepMove{Tid, Fp, Ver});
 }
 
-Reduction::Verdict
-Reduction::onSchedChoice(const std::vector<unsigned> &Enabled,
-                         const std::vector<rmc::Footprint> &Fps,
-                         const std::vector<uint32_t> &HistLens,
-                         unsigned Pick) {
-  assert(Enabled.size() == Fps.size() && Enabled.size() == HistLens.size() &&
-         Pick < Enabled.size());
-  const size_t Ord = NumPoints;
-
+uint64_t Reduction::onSchedPoint(const std::vector<unsigned> &Enabled,
+                                 const std::vector<rmc::Footprint> &Fps,
+                                 const std::vector<uint32_t> &HistLens) {
+  assert(Enabled.size() == Fps.size() && Enabled.size() == HistLens.size());
   // Record the point so split()-time annotation can reconstruct the sleep
-  // state of any alternative at it, and so the explorer can consult the
-  // per-alternative verdicts at advance time.
+  // state of any alternative at it, and so commitPick() finds the moves.
   if (NumPoints == Points.size())
     Points.emplace_back();
   SchedPoint &Pt = Points[NumPoints++];
   Pt.Entry = Cur; // Capacity-reusing copy.
   Pt.Alts.clear();
-  Pt.Skip.clear();
+  Pt.Verdicts.clear();
   for (size_t I = 0, E = Enabled.size(); I != E; ++I)
     Pt.Alts.push_back(
         SleepMove{Enabled[I], Fps[I], SourceMode ? HistLens[I] : 0});
+  if (!SourceMode)
+    return 0;
 
   // Per-alternative verdicts, against the *entry* sleep set. Both the sleep
   // set and the history lengths at this point are pure functions of the
-  // decision prefix above it, so the verdict recorded for alternative A now
-  // equals the verdict a later execution choosing A here would compute —
-  // which is what lets the explorer skip Prune-marked siblings at advance
-  // time without running them.
+  // decision prefix above it, so the verdict computed for alternative A now
+  // equals the verdict any execution choosing A here receives — which is
+  // what lets the explorer start a fresh node past Prune-marked
+  // alternatives and skip Prune-marked siblings without running them.
+  uint64_t PruneMask = 0;
+  for (size_t I = 0, E = Enabled.size(); I != E; ++I) {
+    const Verdict V = verdictFor(findAsleep(Enabled[I]), HistLens[I]);
+    Pt.Verdicts.push_back(V);
+    if (V == Verdict::Prune && I < 64)
+      PruneMask |= uint64_t{1} << I;
+  }
+  return PruneMask;
+}
+
+Reduction::Verdict Reduction::commitPick(unsigned Pick) {
+  assert(NumPoints != 0 && "commitPick without onSchedPoint");
+  const size_t Ord = NumPoints - 1;
+  const SchedPoint &Pt = Points[Ord];
+  assert(Pick < Pt.Alts.size());
+
   Verdict PickV;
+  const SleepMove *Asleep = findAsleep(Pt.Alts[Pick].Tid);
   if (SourceMode) {
-    for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-      Pt.Skip.push_back(static_cast<uint8_t>(
-          verdictFor(findAsleep(Enabled[I]), HistLens[I])));
-    PickV = static_cast<Verdict>(Pt.Skip[Pick]);
+    PickV = Pt.Verdicts[Pick];
     if (PickV == Verdict::Restricted) {
-      const SleepMove *E = findAsleep(Enabled[Pick]);
-      RestrictL = E->Fp.L;
-      RestrictVer = E->Ver;
+      RestrictL = Asleep->Fp.L;
+      RestrictVer = Asleep->Ver;
     }
   } else {
-    PickV = findAsleep(Enabled[Pick]) ? Verdict::Prune : Verdict::Run;
+    PickV = Asleep ? Verdict::Prune : Verdict::Run;
   }
 
   // DFS order: alternatives j < Pick were fully explored in sibling
-  // branches (by this worker or, for donated prefixes, by the donor side),
-  // so delaying them past covered steps is redundant.
+  // branches (by this worker or, for donated prefixes, by the donor side)
+  // or are covered outright (Prune-marked, never run), so delaying them
+  // past covered steps is redundant.
   for (unsigned J = 0; J != Pick; ++J)
-    insertMove(Cur, Enabled[J], Fps[J], SourceMode ? HistLens[J] : 0);
+    insertMove(Cur, Pt.Alts[J].Tid, Pt.Alts[J].Fp, Pt.Alts[J].Ver);
 
   // Cross-worker validation: when replaying a donated seed, the state we
   // just recomputed must match the donor's snapshot exactly.
@@ -139,14 +149,6 @@ Reduction::Verdict Reduction::onSchedule(unsigned Tid, uint32_t HistLen) {
     RestrictVer = E->Ver;
   }
   return V;
-}
-
-bool Reduction::skipAlternative(size_t Ordinal, unsigned Alt) const {
-  if (!SourceMode || Ordinal >= NumPoints)
-    return false;
-  const SchedPoint &Pt = Points[Ordinal];
-  return Alt < Pt.Skip.size() &&
-         Pt.Skip[Alt] == static_cast<uint8_t>(Verdict::Prune);
 }
 
 void Reduction::onStepExecuted(unsigned Tid, const rmc::Footprint &F) {

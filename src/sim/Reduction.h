@@ -29,14 +29,16 @@
 /// installed on the machine — it enumerates only the genuinely new
 /// reads-from options; the stale ones commute back to the explored sibling
 /// (Scheduler reports an execution whose restricted option set came up
-/// empty as RunResult::RfPruned). (3) Every sched point records a per-
-/// alternative skip verdict so the explorer can discard fully-covered
-/// sibling subtrees at *advance time*, without burning an execution
-/// (Summary::SourcePruned).
+/// empty as RunResult::RfPruned). (3) Every sched point computes its per-
+/// alternative verdicts *before* the pick; the scheduler announces the
+/// Prune-marked ones (ChoiceSource::noteSkippable) so the explorer creates
+/// a fresh node at its first live alternative and discards fully-covered
+/// sibling subtrees at advance time, without burning an execution on
+/// either (Summary::SourcePruned).
 ///
 /// Only `sched`-tagged decisions participate; read-from and CAS-outcome
 /// choice points are never pruned by this layer (the explorer's duplicate-
-/// rf cache handles those; see ChoiceSource::noteChoiceDup). All state is
+/// rf cache handles those; see ChoiceSource::noteSkippable). All state is
 /// recomputed online from the decision path on every execution (it is a
 /// pure function of the path), so replayed prefixes — including seeded
 /// prefixes adopted from another worker — deterministically reconstruct
@@ -79,19 +81,25 @@ public:
   /// Clears the per-execution state; call before each execution.
   void beginExecution();
 
-  /// Hook for a real `sched` choice (arity > 1, not preemption-forced):
-  /// records the choice point, puts alternatives j < \p Pick to sleep
-  /// (stamping their history watermarks from \p HistLens in source mode),
-  /// validates against the donated seed snapshot when this is the seeded
-  /// ordinal, and returns the verdict for the picked move.
+  /// First half of the hook for a real `sched` choice (arity > 1, not
+  /// preemption-forced), called *before* the pick: records the choice
+  /// point and its per-alternative verdicts against the entry sleep set.
+  /// Returns the Prune-marked alternatives as a bitmask (bit k: alternative
+  /// k, first 64 only); always 0 in sleep mode, which keeps its stubs.
   ///
   /// \p Enabled are the schedulable threads, \p Fps their pending-operation
   /// footprints, \p HistLens the current history length of each pending
-  /// footprint's location (parallel arrays), \p Pick the index chosen by
-  /// the decision tree.
-  Verdict onSchedChoice(const std::vector<unsigned> &Enabled,
+  /// footprint's location (parallel arrays).
+  uint64_t onSchedPoint(const std::vector<unsigned> &Enabled,
                         const std::vector<rmc::Footprint> &Fps,
-                        const std::vector<uint32_t> &HistLens, unsigned Pick);
+                        const std::vector<uint32_t> &HistLens);
+
+  /// Second half: commits the alternative \p Pick chosen at the point just
+  /// recorded by onSchedPoint(). Puts alternatives j < Pick to sleep
+  /// (with their history watermarks in source mode), validates against the
+  /// donated seed snapshot when this is the seeded ordinal, and returns the
+  /// verdict for the picked move.
+  Verdict commitPick(unsigned Pick);
 
   /// Hook for a forced or singleton schedule (no tree decision recorded):
   /// verdict only — never adds sleeps, because no sibling branch exists at
@@ -110,13 +118,6 @@ public:
   /// stepping thread's own entry is always dropped — consecutive steps of
   /// one thread never commute).
   void onStepExecuted(unsigned Tid, const rmc::Footprint &F);
-
-  /// Advance-time skip test (source mode): true when alternative \p Alt of
-  /// the \p Ordinal-th sched point of the last executed path is fully
-  /// covered by explored siblings, so the explorer may skip the subtree
-  /// without executing it (counted as Summary::SourcePruned). False for
-  /// unknown ordinals/alternatives and in sleep mode.
-  bool skipAlternative(size_t Ordinal, unsigned Alt) const;
 
   /// Installs the donor's sleep snapshot for a seeded (donated) prefix:
   /// when the recomputed state reaches sched ordinal \p Ordinal, it is
@@ -174,12 +175,11 @@ private:
                          const rmc::Footprint &Fp, uint32_t Ver);
 
   /// Snapshot of one sched choice point of the current execution, kept so
-  /// split() can annotate donated prefixes ending at any such point and so
-  /// the explorer can skip covered alternatives at advance time.
+  /// split() can annotate donated prefixes ending at any such point.
   struct SchedPoint {
-    std::vector<SleepMove> Entry; ///< Sleep set before this point's adds.
-    std::vector<SleepMove> Alts;  ///< Enabled moves, in choice order.
-    std::vector<uint8_t> Skip;    ///< Verdict per alternative (source mode).
+    std::vector<SleepMove> Entry;   ///< Sleep set before this point's adds.
+    std::vector<SleepMove> Alts;    ///< Enabled moves, in choice order.
+    std::vector<Verdict> Verdicts;  ///< Per alternative (source mode).
   };
 
   std::vector<SleepMove> Cur;     ///< Current sleep set, sorted by Tid.

@@ -157,6 +157,16 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
         Red->saveBoundary();
     }
 
+    // History length of a pending footprint's location — the reads-from
+    // watermark material for the source-set refinement. Only read/write/
+    // update footprints carry a meaningful location.
+    auto HistOf = [this](const rmc::Footprint &Fp) -> uint32_t {
+      using K = rmc::Footprint::Kind;
+      if (Fp.K != K::Read && Fp.K != K::Write && Fp.K != K::Update)
+        return 0;
+      return static_cast<uint32_t>(M.historyLen(Fp.L));
+    };
+
     // Preemption bounding (CHESS): once the budget is spent, a thread that
     // is still enabled keeps running; switches are only explored when the
     // current thread blocked or finished, or while budget remains.
@@ -173,6 +183,20 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
       if (Enabled.size() == 1) {
         Pick = 0;
       } else {
+        if (Red) {
+          // A real choice point: the reduction judges every alternative
+          // before the pick, so the explorer can create a fresh node at
+          // its first alternative the reduction does not prune.
+          EnabledFps.clear();
+          EnabledHist.clear();
+          for (unsigned Tid : Enabled) {
+            EnabledFps.push_back(Threads[Tid]->NextFp);
+            EnabledHist.push_back(HistOf(EnabledFps.back()));
+          }
+          if (uint64_t Covered =
+                  Red->onSchedPoint(Enabled, EnabledFps, EnabledHist))
+            Choices.noteSkippable(Covered);
+        }
         Pick = Choices.choose(static_cast<unsigned>(Enabled.size()),
                               "sched");
         Chose = true;
@@ -183,32 +207,14 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
 
     bool RestrictedStep = false;
     if (Red) {
-      // History length of a pending footprint's location — the reads-from
-      // watermark material for the source-set refinement. Only read/write/
-      // update footprints carry a meaningful location.
-      auto HistOf = [this](const rmc::Footprint &Fp) -> uint32_t {
-        using K = rmc::Footprint::Kind;
-        if (Fp.K != K::Read && Fp.K != K::Write && Fp.K != K::Update)
-          return 0;
-        return static_cast<uint32_t>(M.historyLen(Fp.L));
-      };
-      Reduction::Verdict V;
-      if (Chose) {
-        // A real choice point: siblings exist, so alternatives before the
-        // pick go to sleep and the pick itself is prune-checked.
-        EnabledFps.clear();
-        EnabledHist.clear();
-        for (unsigned Tid : Enabled) {
-          EnabledFps.push_back(Threads[Tid]->NextFp);
-          EnabledHist.push_back(HistOf(EnabledFps.back()));
-        }
-        V = Red->onSchedChoice(Enabled, EnabledFps, EnabledHist, Pick);
-      } else {
-        // Forced or singleton pick: no sibling branch covers a delayed
-        // version of a sleeping move here, so only prune-check.
-        V = Red->onSchedule(Enabled[Pick],
-                            HistOf(Threads[Enabled[Pick]]->NextFp));
-      }
+      // At a real choice point siblings exist, so alternatives before the
+      // pick go to sleep and the pick itself is prune-checked. A forced or
+      // singleton pick has no sibling branch covering a delayed version of
+      // a sleeping move, so it is only prune-checked.
+      const Reduction::Verdict V =
+          Chose ? Red->commitPick(Pick)
+                : Red->onSchedule(Enabled[Pick],
+                                  HistOf(Threads[Enabled[Pick]]->NextFp));
       if (V == Reduction::Verdict::Prune)
         return RunResult::SleepPruned;
       if (V == Reduction::Verdict::Restricted) {

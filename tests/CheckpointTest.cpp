@@ -135,8 +135,13 @@ TEST(SnapshotFormat, RoundTripsInterruptedExploration) {
 TEST(SnapshotFormat, RoundTripsSourceModeState) {
   // Source-set snapshots carry the per-sleeper Atomic flag and reads-from
   // watermark plus the three source-set counters ("snapshot v2" fields) —
-  // all of it must survive the text round trip bit-exactly.
-  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SourceSet), 200);
+  // all of it must survive the text round trip bit-exactly. The tripwire
+  // sits halfway through the uninterrupted run, so it fires whatever the
+  // reduction's execution count is.
+  Explorer::Summary Full =
+      explore(msQueueWorkload(2, ReductionMode::SourceSet));
+  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SourceSet),
+                       Full.Executions / 2);
   ASSERT_TRUE(R.Interrupted);
   ASSERT_FALSE(R.Snapshot.empty());
 
@@ -556,13 +561,12 @@ TEST(SweepResume, CadenceCheckpointsAreEachResumable) {
 
   SweepReport Ref = runSweep(O);
 
-  // Collect cadence checkpoints from an uninterrupted run... (the whole
-  // sweep is ~6k executions under sleep reduction, so a 1.5k cadence
-  // yields several checkpoints, some mid-scenario and some at scenario
-  // boundaries)
+  // Collect cadence checkpoints from an uninterrupted run... (a cadence of
+  // a quarter of the sweep's executions yields several checkpoints, some
+  // mid-scenario and some at scenario boundaries)
   std::vector<std::string> Ckpts;
   SweepControl Ctl;
-  Ctl.CheckpointEveryExecs = 1500;
+  Ctl.CheckpointEveryExecs = std::max<uint64_t>(1, Ref.totalExecutions() / 4);
   Ctl.OnCheckpoint = [&](const SweepCheckpoint &C) {
     Ckpts.push_back(serializeSweepCheckpoint(C));
   };

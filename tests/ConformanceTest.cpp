@@ -215,7 +215,38 @@ TEST(ConformanceSweep, FingerprintPinnedForSeedOne) {
   O.ScenariosPerLib = 2;
   SweepReport Rep = runSweep(O);
   EXPECT_TRUE(Rep.clean()) << Rep.str();
-  EXPECT_EQ(Rep.fingerprint(), 0xa1085fde51d32cc8ull) << Rep.str();
+  EXPECT_EQ(Rep.fingerprint(), 0x009dac92c5915612ull) << Rep.str();
+}
+
+TEST(ConformanceSweep, PerLibraryVerdictsPinnedForSeedOne) {
+  // Per-library completed executions and verdict counts of the same seed-1
+  // sweep, pinned when fresh sched nodes still started at alternative 0
+  // (a pruned alternative 0 then cost a sleep-pruned execution). Starting
+  // a node past its pruned alternatives removes only those stubs, so these
+  // counts must not move even though the fingerprint (which folds the
+  // execution and pruning counters) does.
+  struct Pin {
+    Lib L;
+    uint64_t Completed, Violations, Races;
+  };
+  const Pin Pins[] = {
+      {Lib::MsQueue, 84, 0, 0},      {Lib::HwQueue, 62, 0, 0},
+      {Lib::TreiberStack, 51, 0, 0}, {Lib::ElimStack, 9, 0, 0},
+      {Lib::Exchanger, 1436, 0, 0},  {Lib::SpscRing, 7, 0, 0},
+      {Lib::WsDeque, 164, 0, 0},     {Lib::TreiberEbr, 5242, 0, 0},
+  };
+  SweepOptions O;
+  O.ScenariosPerLib = 2;
+  SweepReport Rep = runSweep(O);
+  ASSERT_EQ(Rep.PerLib.size(), std::size(Pins));
+  for (size_t I = 0; I != std::size(Pins); ++I) {
+    const LibSweepStats &St = Rep.PerLib[I];
+    ASSERT_EQ(St.L, Pins[I].L);
+    EXPECT_EQ(St.Truncated, 0u) << libName(St.L);
+    EXPECT_EQ(St.Completed, Pins[I].Completed) << libName(St.L);
+    EXPECT_EQ(St.Violations, Pins[I].Violations) << libName(St.L);
+    EXPECT_EQ(St.Races, Pins[I].Races) << libName(St.L);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -148,6 +148,69 @@ TEST(DecisionTreeTest, AdvanceDiscardsExhaustedSuffix) {
   EXPECT_TRUE(T.exhausted());
 }
 
+TEST(DecisionTreeTest, RepeatedAdvancesKeepCursorForSplitAndFrontier) {
+  // The explorer skips covered siblings by advancing again without an
+  // execution in between; the cursor must follow the path each time, so
+  // the next advance() and split()/frontierPrefixes() see a tree between
+  // executions (their asserts check this in builds with assertions on).
+  auto P = uniform({4, 2, 2});
+  DecisionTree T;
+  runOne(T, P);
+  ASSERT_TRUE(T.advance());
+  EXPECT_EQ(T.decisions(), (std::vector<unsigned>{0, 0, 1}));
+  EXPECT_EQ(T.position(), T.depth());
+  ASSERT_TRUE(T.advance()); // skip {0,0,1}
+  EXPECT_EQ(T.decisions(), (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(T.position(), T.depth());
+  ASSERT_TRUE(T.advance()); // skip {0,1,*}
+  EXPECT_EQ(T.decisions(), (std::vector<unsigned>{1}));
+  EXPECT_EQ(T.position(), T.depth());
+  EXPECT_EQ(T.frontierSize(), 2u); // root alternatives 2 and 3
+
+  // One pinned prefix per open root alternative plus the current path.
+  std::vector<DecisionTree::Prefix> Frontier = T.frontierPrefixes();
+  ASSERT_EQ(Frontier.size(), 3u);
+  EXPECT_EQ(Frontier[0].Path.back().Chosen, 2u);
+  EXPECT_EQ(Frontier[1].Path.back().Chosen, 3u);
+  EXPECT_EQ(Frontier[2].Path.size(), 1u);
+  EXPECT_EQ(Frontier[2].Path.back().Chosen, 1u);
+
+  std::vector<DecisionTree::Prefix> Donated = T.split(1);
+  ASSERT_EQ(Donated.size(), 1u);
+  EXPECT_EQ(Donated[0].Path.back().Chosen, 3u);
+  EXPECT_EQ(T.frontierSize(), 1u);
+
+  // The donor and the donation together still cover root alternatives
+  // 1..3 exactly: 4 leaves each.
+  std::vector<std::vector<unsigned>> Leaves = enumerate(T, P);
+  std::vector<std::vector<unsigned>> Don =
+      enumerate(DecisionTree(std::move(Donated[0])), P);
+  EXPECT_EQ(Leaves.size(), 8u);
+  EXPECT_EQ(Leaves.front(), (std::vector<unsigned>{1, 0, 0}));
+  EXPECT_EQ(Leaves.back(), (std::vector<unsigned>{2, 1, 1}));
+  EXPECT_EQ(Don.size(), 4u);
+  EXPECT_EQ(Don.front(), (std::vector<unsigned>{3, 0, 0}));
+}
+
+TEST(DecisionTreeTest, FreshNodeStartsAtFirstLiveAlternative) {
+  // A fresh node created past covered alternatives enumerates only
+  // [First, Limit); replay returns the recorded pick regardless of First.
+  DecisionTree T;
+  T.beginExecution();
+  EXPECT_EQ(T.next(4, 4, "sched", 2), 2u);
+  EXPECT_EQ(T.next(2, "t"), 0u);
+  EXPECT_EQ(T.frontierSize(), 2u); // alternative 3 at the root, 1 below
+  std::vector<std::vector<unsigned>> Seen = {T.decisions()};
+  while (T.advance()) {
+    T.beginExecution();
+    unsigned A = T.next(4, 4, "sched", 2);
+    unsigned B = T.next(2, "t");
+    Seen.push_back({A, B});
+  }
+  EXPECT_EQ(Seen, (std::vector<std::vector<unsigned>>{
+                      {2, 0}, {2, 1}, {3, 0}, {3, 1}}));
+}
+
 TEST(DecisionTreeTest, SeededTreeEnumeratesExactlyItsSubtree) {
   auto P = uniform({3, 2, 2});
   // Build the seed for subtree {1, *, *} the way split() would: pinned
@@ -236,6 +299,15 @@ rmc::Footprint writeFp(rmc::Loc L) {
   return F;
 }
 
+/// The scheduler's two reduction hooks at a real sched choice point.
+Reduction::Verdict schedChoice(Reduction &Red, const std::vector<unsigned> &En,
+                               const std::vector<rmc::Footprint> &Fps,
+                               const std::vector<uint32_t> &Hist,
+                               unsigned Pick) {
+  Red.onSchedPoint(En, Fps, Hist);
+  return Red.commitPick(Pick);
+}
+
 /// Drives one donor execution of a two-level, arity-3, `sched`-tagged
 /// program against \p T while feeding \p Red the hooks exactly as the
 /// scheduler would: choice, then the chosen thread's step.
@@ -247,7 +319,7 @@ void runSchedExecution(DecisionTree &T, Reduction &Red,
   Red.beginExecution();
   for (int Level = 0; Level != 2; ++Level) {
     unsigned Pick = T.next(3, "sched");
-    ASSERT_EQ(Red.onSchedChoice(En, Fps, Hist, Pick),
+    ASSERT_EQ(schedChoice(Red, En, Fps, Hist, Pick),
               Reduction::Verdict::Run);
     Red.onStepExecuted(En[Pick], Fps[Pick]);
   }
@@ -283,7 +355,7 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
 
   // Round-trip: a recipient re-seeds its tree from the donated prefix and
   // recomputes the sleep state while replaying; the recomputation must
-  // agree with the carried snapshot (validated inside onSchedChoice) and
+  // agree with the carried snapshot (validated inside commitPick) and
   // leave the recipient with exactly the donor's sleep set.
   for (size_t I = 0; I != Donated.size(); ++I) {
     std::vector<SleepMove> Snapshot = Donated[I].Sleep;
@@ -300,8 +372,8 @@ TEST(DecisionTreeTest, SplitPrefixCarriesSleepSnapshotAndReseeds) {
     EXPECT_EQ(Pick, Chosen);
     // The replayed pick is never itself asleep, and the recomputed state
     // matches the donor's snapshot bit for bit.
-    EXPECT_EQ(R2.onSchedChoice(En, Fps, std::vector<uint32_t>(En.size(), 0),
-                               Pick),
+    EXPECT_EQ(schedChoice(R2, En, Fps, std::vector<uint32_t>(En.size(), 0),
+                          Pick),
               Reduction::Verdict::Run);
     EXPECT_EQ(R2.current(), Snapshot);
   }
@@ -313,7 +385,7 @@ TEST(DecisionTreeTest, AnnotateSkipsPrefixesNotEndingInSchedDecisions) {
 
   Reduction Red;
   Red.beginExecution();
-  ASSERT_EQ(Red.onSchedChoice(En, Fps, {0, 0, 0}, 2),
+  ASSERT_EQ(schedChoice(Red, En, Fps, {0, 0, 0}, 2),
             Reduction::Verdict::Run); // sleeps {0, 1}
 
   // A prefix ending in a read-from decision must not be annotated: pruning
@@ -343,7 +415,7 @@ TEST(DecisionTreeDeathTest, DivergentSleepSeedIsFatal) {
   R.setSeed({{1, Fps[1]}}, 0); // Donor claims only thread 1 sleeps...
   R.beginExecution();
   // ...but replaying pick 2 recomputes {0, 1}.
-  EXPECT_DEATH(R.onSchedChoice(En, Fps, {0, 0, 0}, 2), "diverged");
+  EXPECT_DEATH(schedChoice(R, En, Fps, {0, 0, 0}, 2), "diverged");
 }
 
 TEST(DecisionTreeDeathTest, ArityChangeDuringReplayIsFatal) {

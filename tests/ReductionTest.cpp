@@ -305,6 +305,64 @@ TEST(ReductionAccounting, SourceSetPrunesAndReconciles) {
   EXPECT_EQ(Sleep.Violations, 0u) << Sleep.str();
 }
 
+TEST(ReductionAccounting, FreshSchedNodesStartPastPrunedAlternatives) {
+  // Source sets create each fresh sched node at its first alternative the
+  // reduction does not prune. The pinned values below come from the
+  // exploration that started every fresh node at alternative 0, where a
+  // pruned alternative 0 cost a sleep-pruned execution: the verdicts, the
+  // completed executions and the lex-least violation must not move, and
+  // the only work removed is exactly those stub executions — each one now
+  // counted as a skipped alternative (SourcePruned) instead.
+  struct Pin {
+    const char *Name;
+    Workload (*Make)(unsigned);
+    uint64_t Executions, Completed, Violations, Races, Deadlocks, MaxDepth,
+        SleepPruned, SourcePruned;
+    std::vector<unsigned> FirstViolation;
+  };
+  const Pin Pins[] = {
+      {"MS queue",
+       +[](unsigned W) {
+         return msQueueWorkload(W, ReductionMode::SourceSet);
+       },
+       439, 11, 0, 0, 0, 33, 428, 139, {}},
+      {"EBR stack",
+       +[](unsigned W) {
+         return ebrStackWorkload(W, ReductionMode::SourceSet);
+       },
+       1717, 1063, 0, 0, 0, 64, 654, 0, {}},
+      {"MP rlx",
+       +[](unsigned W) {
+         return mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed,
+                           ReductionMode::SourceSet);
+       },
+       14, 4, 1, 0, 0, 6, 10, 0, {0, 0, 0, 0, 1}},
+  };
+  for (const Pin &P : Pins)
+    for (unsigned Wk : {1u, 2u, 4u}) {
+      Explorer::Summary S = explore(P.Make(Wk));
+      const std::string Ctx =
+          std::string(P.Name) + " workers=" + std::to_string(Wk) + ": " +
+          S.str();
+      expectReconciled(S, P.Name);
+      EXPECT_TRUE(S.Exhausted) << Ctx;
+      EXPECT_EQ(S.Completed, P.Completed) << Ctx;
+      EXPECT_EQ(S.Violations, P.Violations) << Ctx;
+      EXPECT_EQ(S.Races, P.Races) << Ctx;
+      EXPECT_EQ(S.Deadlocks, P.Deadlocks) << Ctx;
+      EXPECT_EQ(S.MaxDepth, P.MaxDepth) << Ctx;
+      EXPECT_EQ(S.firstViolationDecisions(), P.FirstViolation) << Ctx;
+      EXPECT_LT(S.Executions, P.Executions) << Ctx;
+      EXPECT_LT(S.SleepPruned, P.SleepPruned) << Ctx;
+      // Exactly the stubs: as many fewer executions as fewer sleep-pruned
+      // ones, each turned into one more skipped alternative.
+      EXPECT_EQ(S.Executions - S.SleepPruned, P.Executions - P.SleepPruned)
+          << Ctx;
+      EXPECT_EQ(S.SourcePruned - P.SourcePruned, P.Executions - S.Executions)
+          << Ctx;
+    }
+}
+
 TEST(ReductionAccounting, ThreeModesReconcileOnEveryWorkload) {
   for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet,
                             ReductionMode::SourceSet}) {
