@@ -24,9 +24,11 @@
 #include "sim/Explorer.h"
 #include "spec/SpecMonitor.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,6 +74,61 @@ inline std::string benchOutDir(int &Argc, char **Argv) {
   std::printf("bench output directory: %s\n", Out.c_str());
   return Out;
 }
+
+/// Times exploration rows on a machine whose speed drifts over seconds:
+/// run() explores every row in Passes rounds, each repeating the row until
+/// it has run for its share of MinSeconds, so a row's samples span the
+/// whole measurement (a row whose first run exceeds LongRunSeconds runs
+/// once). median() returns the run with the median execs/sec. A repeat
+/// whose deterministic core differs from the first exits with status 1.
+class RowTimer {
+public:
+  using Runner = std::function<sim::Explorer::Summary()>;
+
+  /// Adds a row; returns its index for median().
+  size_t add(Runner Run) {
+    Rows.push_back({std::move(Run), {}, 0});
+    return Rows.size() - 1;
+  }
+
+  void run() {
+    for (unsigned P = 1; P <= Passes; ++P)
+      for (Row &R : Rows) {
+        if (!R.Runs.empty() &&
+            R.Runs.front().Perf.WallSeconds > LongRunSeconds)
+          continue;
+        do {
+          R.Runs.push_back(R.Run());
+          R.Total += R.Runs.back().Perf.WallSeconds;
+          if (!R.Runs.back().coreEquals(R.Runs.front())) {
+            std::fprintf(stderr, "FAIL: a repeated exploration changed its "
+                                 "deterministic core\n");
+            std::exit(1);
+          }
+        } while (R.Total < MinSeconds * P / Passes);
+      }
+  }
+
+  const sim::Explorer::Summary &median(size_t I) {
+    std::vector<sim::Explorer::Summary> &Runs = Rows[I].Runs;
+    std::sort(Runs.begin(), Runs.end(), [](const auto &A, const auto &B) {
+      return A.Perf.ExecsPerSec < B.Perf.ExecsPerSec;
+    });
+    return Runs[(Runs.size() - 1) / 2];
+  }
+
+private:
+  static constexpr unsigned Passes = 5;
+  static constexpr double MinSeconds = 0.25;
+  static constexpr double LongRunSeconds = 1.0;
+
+  struct Row {
+    Runner Run;
+    std::vector<sim::Explorer::Summary> Runs;
+    double Total = 0;
+  };
+  std::vector<Row> Rows;
+};
 
 //===----------------------------------------------------------------------===//
 // Table printing

@@ -41,7 +41,7 @@ namespace {
 /// The fixed workload family: enq{1,2} against two single-element
 /// dequeuers at preemption bound 2, over either queue implementation —
 /// E2's MS queue (lock-free, CAS-heavy) or E7's locked queue (spin-lock
-/// dominated, the sleep-set reduction's best case).
+/// dominated, the reduction's best case).
 Workload queueWorkload(bench::QueueImpl Impl, EnginePath Engine,
                        ReductionMode Red) {
   Explorer::Options Opts;
@@ -111,7 +111,7 @@ const char *engineName(EnginePath E) {
 }
 
 const char *redName(ReductionMode R) {
-  return R == ReductionMode::SleepSet ? "sleep-set" : "none";
+  return R == ReductionMode::SourceSet ? "source-set" : "none";
 }
 
 struct Row {
@@ -132,39 +132,30 @@ std::string fmtF(double V, const char *Fmt = "%.0f") {
   return Buf;
 }
 
-/// Runs one workload/reduction cell under both engine paths and appends
-/// the two rows (root-replay first). Returns false on core mismatch.
-bool runCell(std::vector<Row> &Rows, bench::QueueImpl Impl,
-             ReductionMode Red) {
-  Explorer::Summary Root;
-  bool Ok = true;
-  for (EnginePath E : {EnginePath::RootReplay, EnginePath::Auto}) {
-    Explorer::Summary Sum = exploreSerial(queueWorkload(Impl, E, Red));
-    Row R{implName(Impl), E, Red, Sum};
-    if (Sum.Executions) {
-      R.NsPerExec = Sum.Perf.WallSeconds * 1e9 /
-                    static_cast<double>(Sum.Executions);
-      if (Sum.Perf.StepsExecuted)
-        R.NsPerStep = Sum.Perf.WallSeconds * 1e9 /
-                      static_cast<double>(Sum.Perf.StepsExecuted);
-      if (Sum.Perf.StepsLogical)
-        R.StepsAvoided =
-            1.0 - static_cast<double>(Sum.Perf.StepsExecuted) /
-                      static_cast<double>(Sum.Perf.StepsLogical);
-    }
-    if (E == EnginePath::RootReplay) {
-      Root = Sum;
-      R.SpeedupVsRoot = 1.0;
-    } else {
-      R.SpeedupVsRoot = Root.Perf.WallSeconds > 0 && Sum.Perf.WallSeconds > 0
-                            ? Root.Perf.WallSeconds / Sum.Perf.WallSeconds
-                            : 0.0;
-      R.CoreMatch = Sum.coreEquals(Root);
-      Ok = Ok && R.CoreMatch;
-    }
-    Rows.push_back(std::move(R));
+/// Fills row \p R from its median summary \p Sum, comparing it with the
+/// root-replay row \p Root of its cell. Returns false on core mismatch.
+bool finishRow(Row &R, const Explorer::Summary &Sum, const Row *Root) {
+  R.Sum = Sum;
+  if (Sum.Executions) {
+    R.NsPerExec =
+        Sum.Perf.WallSeconds * 1e9 / static_cast<double>(Sum.Executions);
+    if (Sum.Perf.StepsExecuted)
+      R.NsPerStep = Sum.Perf.WallSeconds * 1e9 /
+                    static_cast<double>(Sum.Perf.StepsExecuted);
+    if (Sum.Perf.StepsLogical)
+      R.StepsAvoided = 1.0 - static_cast<double>(Sum.Perf.StepsExecuted) /
+                                 static_cast<double>(Sum.Perf.StepsLogical);
   }
-  return Ok;
+  if (!Root) {
+    R.SpeedupVsRoot = 1.0;
+    return true;
+  }
+  const double RootWall = Root->Sum.Perf.WallSeconds;
+  R.SpeedupVsRoot = RootWall > 0 && Sum.Perf.WallSeconds > 0
+                        ? RootWall / Sum.Perf.WallSeconds
+                        : 0.0;
+  R.CoreMatch = Sum.coreEquals(Root->Sum);
+  return R.CoreMatch;
 }
 
 void printTable(const std::vector<Row> &Rows) {
@@ -249,12 +240,26 @@ int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
+  // Each workload/reduction cell runs under both engine paths, root
+  // replay first; every row is the median of repeated runs.
+  bench::RowTimer Timer;
   std::vector<Row> Rows;
-  bool Ok = true;
+  std::vector<size_t> Jobs;
   for (bench::QueueImpl Impl :
        {bench::QueueImpl::Ms, bench::QueueImpl::Locked})
-    for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet})
-      Ok = runCell(Rows, Impl, Red) && Ok;
+    for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
+      for (EnginePath E : {EnginePath::RootReplay, EnginePath::Auto}) {
+        Rows.push_back({implName(Impl), E, Red, {}});
+        Jobs.push_back(Timer.add([Impl, E, Red] {
+          return exploreSerial(queueWorkload(Impl, E, Red));
+        }));
+      }
+  Timer.run();
+  bool Ok = true;
+  for (size_t I = 0; I != Rows.size(); ++I)
+    Ok = finishRow(Rows[I], Timer.median(Jobs[I]),
+                   I % 2 ? &Rows[I - 1] : nullptr) &&
+         Ok;
   printTable(Rows);
   writeJson(Rows, OutDir);
   if (!Ok) {

@@ -7,8 +7,10 @@
 // a two-thread Michael-Scott workload, including event-graph recording
 // and consistency checking), and — since the explorer is the framework's
 // performance ceiling — a parallel-scaling table over 1/2/4 workers for
-// the litmus and MS-queue workloads. Results are also dumped to
-// BENCH_simulator.json so the perf trajectory is tracked across PRs.
+// the litmus and MS-queue workloads. Every exploration row is the median
+// of repeated runs spread over the whole bench (bench::RowTimer). Results
+// are also dumped to BENCH_simulator.json so the perf trajectory is
+// tracked across PRs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -243,7 +245,7 @@ Workload msQueueWorkload(unsigned Workers, uint64_t MaxExecutions,
 /// The locked-queue verification workload (E7's slowest row): coarse
 /// lock acquire/release around every operation makes spinning readers on
 /// the lock cell the dominant interleaving source — exactly the
-/// commuting-reads pattern the sleep-set reduction collapses.
+/// commuting-reads pattern the source-set reduction collapses.
 Workload lockedQueueWorkload(unsigned Workers, ReductionMode Red,
                              uint64_t MaxExecutions, unsigned Pb = 2) {
   Explorer::Options Opts;
@@ -305,8 +307,9 @@ Workload lockedQueueWorkload(unsigned Workers, ReductionMode Red,
 struct ScaleRow {
   std::string Name;
   unsigned Workers;
+  size_t Job; ///< RowTimer row.
   Explorer::Summary Sum;
-  double Speedup;
+  double Speedup = 0;
 };
 
 std::string fmtF(double V, const char *Fmt = "%.0f") {
@@ -315,15 +318,22 @@ std::string fmtF(double V, const char *Fmt = "%.0f") {
   return Buf;
 }
 
-void runScaling(std::vector<ScaleRow> &Rows, const std::string &Name,
-                Workload (*Make)(unsigned)) {
+void addScaling(bench::RowTimer &Timer, std::vector<ScaleRow> &Rows,
+                const std::string &Name, Workload (*Make)(unsigned)) {
+  for (unsigned W : {1u, 2u, 4u})
+    Rows.push_back(
+        {Name, W, Timer.add([Make, W] { return explore(Make(W)); }), {}});
+}
+
+/// Fills the rows' summaries once \p Timer has run; each workload's
+/// 1-worker row comes first and is its speedup base.
+void finishScaling(bench::RowTimer &Timer, std::vector<ScaleRow> &Rows) {
   double Base = 0;
-  for (unsigned W : {1u, 2u, 4u}) {
-    Explorer::Summary Sum = explore(Make(W));
-    if (W == 1)
-      Base = Sum.Perf.ExecsPerSec;
-    Rows.push_back({Name, W, Sum,
-                    Base > 0 ? Sum.Perf.ExecsPerSec / Base : 0.0});
+  for (ScaleRow &R : Rows) {
+    R.Sum = Timer.median(R.Job);
+    if (R.Workers == 1)
+      Base = R.Sum.Perf.ExecsPerSec;
+    R.Speedup = Base > 0 ? R.Sum.Perf.ExecsPerSec / Base : 0.0;
   }
 }
 
@@ -345,28 +355,20 @@ void printScalingTable(const std::vector<ScaleRow> &Rows) {
 }
 
 //===----------------------------------------------------------------------===//
-// Partial-order reduction before/after (E10 sleep sets, E14 source sets)
+// Partial-order reduction before/after (E14 source sets)
 //===----------------------------------------------------------------------===//
 
 struct RedRow {
   std::string Name;
   ReductionMode Red;
+  size_t Job; ///< RowTimer row.
   Explorer::Summary Sum;
   double ExecRatio = 1.0;  ///< Unreduced executions / this row's executions.
   double WallRatio = 1.0;  ///< Unreduced wall / this row's wall.
-  double VsSleep = 1.0;    ///< Sleep-set executions / this row's executions.
 };
 
 const char *redName(ReductionMode R) {
-  switch (R) {
-  case ReductionMode::None:
-    return "none";
-  case ReductionMode::SleepSet:
-    return "sleep-set";
-  case ReductionMode::SourceSet:
-    return "source-set";
-  }
-  return "?";
+  return R == ReductionMode::SourceSet ? "source-set" : "none";
 }
 
 /// One E9-style conformance scenario (3-thread MS queue, full
@@ -388,54 +390,52 @@ Workload conformanceWorkload(unsigned Workers, ReductionMode Red,
   return check::makeWorkload(S, check::Mutation::None, Opts);
 }
 
-void runReduction(std::vector<RedRow> &Rows, const std::string &Name,
+void addReduction(bench::RowTimer &Timer, std::vector<RedRow> &Rows,
+                  const std::string &Name,
                   Workload (*Make)(unsigned, ReductionMode, uint64_t),
                   uint64_t MaxExecutions) {
-  Explorer::Summary Base, Sleep;
-  for (ReductionMode R : {ReductionMode::None, ReductionMode::SleepSet,
-                          ReductionMode::SourceSet}) {
-    Explorer::Summary Sum = explore(Make(1, R, MaxExecutions));
-    RedRow Row{Name, R, Sum, 1.0, 1.0, 1.0};
-    if (R == ReductionMode::None)
-      Base = Sum;
-    else {
-      Row.ExecRatio = Sum.Executions
-                          ? static_cast<double>(Base.Executions) /
-                                static_cast<double>(Sum.Executions)
-                          : 0.0;
-      Row.WallRatio = Sum.Perf.WallSeconds > 0
-                          ? Base.Perf.WallSeconds / Sum.Perf.WallSeconds
-                          : 0.0;
+  for (ReductionMode R : {ReductionMode::None, ReductionMode::SourceSet})
+    Rows.push_back({Name, R,
+                    Timer.add([Make, R, MaxExecutions] {
+                      return explore(Make(1, R, MaxExecutions));
+                    }),
+                    {}});
+}
+
+/// Fills the rows' summaries once \p Timer has run; each workload's
+/// unreduced row comes first and is its ratio base.
+void finishReduction(bench::RowTimer &Timer, std::vector<RedRow> &Rows) {
+  Explorer::Summary Base;
+  for (RedRow &R : Rows) {
+    R.Sum = Timer.median(R.Job);
+    if (R.Red == ReductionMode::None) {
+      Base = R.Sum;
+      continue;
     }
-    if (R == ReductionMode::SleepSet)
-      Sleep = Sum;
-    else if (R == ReductionMode::SourceSet)
-      Row.VsSleep = Sum.Executions
-                        ? static_cast<double>(Sleep.Executions) /
-                              static_cast<double>(Sum.Executions)
-                        : 0.0;
-    Rows.push_back(std::move(Row));
+    R.ExecRatio = R.Sum.Executions ? static_cast<double>(Base.Executions) /
+                                         static_cast<double>(R.Sum.Executions)
+                                   : 0.0;
+    R.WallRatio = R.Sum.Perf.WallSeconds > 0
+                      ? Base.Perf.WallSeconds / R.Sum.Perf.WallSeconds
+                      : 0.0;
   }
 }
 
 void printReductionTable(const std::vector<RedRow> &Rows) {
-  std::printf("\nE10/E14: partial-order reduction before/after (serial; "
-              "sleep sets vs source-set DPOR + rf pruning + state cache)\n\n");
+  std::printf("\nE14: partial-order reduction before/after (serial; "
+              "unreduced vs source-set DPOR)\n\n");
   bench::Table T({"workload", "reduction", "executions", "sleep-pruned",
-                  "rf-pruned", "src-pruned", "cache-hits", "exhausted",
-                  "wall s", "exec ratio", "vs sleep"});
+                  "rf-pruned", "src-pruned", "exhausted", "wall s",
+                  "exec ratio"});
   for (const RedRow &R : Rows)
     T.addRow({R.Name, redName(R.Red), bench::fmtU64(R.Sum.Executions),
               bench::fmtU64(R.Sum.SleepPruned),
               bench::fmtU64(R.Sum.RfPruned),
               bench::fmtU64(R.Sum.SourcePruned),
-              bench::fmtU64(R.Sum.CacheHits),
               R.Sum.Exhausted ? "yes" : "no",
               fmtF(R.Sum.Perf.WallSeconds, "%.2f"),
               R.Red == ReductionMode::None ? "1.00x"
-                                           : fmtF(R.ExecRatio, "%.2fx"),
-              R.Red == ReductionMode::SourceSet ? fmtF(R.VsSleep, "%.2fx")
-                                                : "-"});
+                                           : fmtF(R.ExecRatio, "%.2fx")});
   T.print();
 }
 
@@ -485,7 +485,6 @@ void writeJson(const std::vector<ScaleRow> &Rows,
     J.field("execs_per_sec", R.Sum.Perf.ExecsPerSec);
     J.field("exec_ratio_vs_unreduced", R.ExecRatio);
     J.field("wall_ratio_vs_unreduced", R.WallRatio);
-    J.field("exec_ratio_vs_sleep", R.VsSleep);
     J.endObject();
   }
   J.endArray();
@@ -507,38 +506,42 @@ int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
+  bench::RowTimer Timer;
   std::vector<ScaleRow> Rows;
-  runScaling(Rows, "SB litmus", sbWorkload);
-  runScaling(Rows, "MP litmus", mpWorkload);
-  runScaling(Rows, "MS queue (E2, pb=2)", +[](unsigned W) {
+  addScaling(Timer, Rows, "SB litmus", sbWorkload);
+  addScaling(Timer, Rows, "MP litmus", mpWorkload);
+  addScaling(Timer, Rows, "MS queue (E2, pb=2)", +[](unsigned W) {
     return msQueueWorkload(W, 500'000);
   });
-  printScalingTable(Rows);
 
   std::vector<RedRow> RedRows;
-  runReduction(RedRows, "locked queue (E7, pb=2)",
+  addReduction(Timer, RedRows, "locked queue (E7, pb=2)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
                  return lockedQueueWorkload(W, R, Max, 2);
                },
                4'000'000);
-  runReduction(RedRows, "MS queue (E2, pb=2)",
+  addReduction(Timer, RedRows, "MS queue (E2, pb=2)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
                  return msQueueWorkload(W, Max, R, 2);
                },
                4'000'000);
-  // The pb=3 rows are the acceptance bar for source-set DPOR: the E7
-  // locked queue and an E9 conformance scenario, where sleep sets alone
-  // left pb=3 out of reach (ROADMAP item 2).
-  runReduction(RedRows, "locked queue (E7, pb=3)",
+  // The pb=3 rows (EXPERIMENTS.md E14): the E7 locked queue and an E9
+  // conformance scenario, the trees where the reduction matters most.
+  addReduction(Timer, RedRows, "locked queue (E7, pb=3)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
                  return lockedQueueWorkload(W, R, Max, 3);
                },
                8'000'000);
-  runReduction(RedRows, "conformance MS queue (E9, pb=3)",
+  addReduction(Timer, RedRows, "conformance MS queue (E9, pb=3)",
                +[](unsigned W, ReductionMode R, uint64_t Max) {
                  return conformanceWorkload(W, R, Max, 3);
                },
                8'000'000);
+
+  Timer.run();
+  finishScaling(Timer, Rows);
+  finishReduction(Timer, RedRows);
+  printScalingTable(Rows);
   printReductionTable(RedRows);
 
   writeJson(Rows, RedRows, OutDir);

@@ -198,7 +198,7 @@ def self_test():
                 "execs_per_sec": eps}
 
     base = {"rows": [row("queue", 2, 1000.0), row("stack", 2, 500.0)],
-            "reduction_rows": [{"workload": "queue", "reduction": "sleep",
+            "reduction_rows": [{"workload": "queue", "reduction": "source-set",
                                 "execs_per_sec": 800.0}]}
 
     # 1. Identical reports: clean pass.

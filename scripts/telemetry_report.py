@@ -16,8 +16,11 @@ Sections:
   * violations     — every violation record with its replayable decision
     trace (feed to `compass_check replay`);
   * checkpoints    — when/why checkpoints were cut;
-  * outcome        — the run_end record (fingerprint, totals), or a
-    diagnosis that the stream ended without one (killed run).
+  * outcome        — the run_end record (fingerprint, totals and the
+    three-valued verdict: violations, clean and exhaustive, or clean but
+    unverified because scenarios were truncated, linearization searches
+    aborted or the run was interrupted), or a diagnosis that the stream
+    ended without one (killed run).
 
 Usage:
   scripts/telemetry_report.py TELEMETRY.jsonl [--json]
@@ -46,6 +49,26 @@ def sparkline(values, width=60):
     hi = max(values) or 1.0
     return "".join(SPARK[min(len(SPARK) - 1,
                              int(v / hi * (len(SPARK) - 1)))] for v in values)
+
+
+def verdict_text(run_end):
+    """The run_end verdict as one phrase ("unknown" for streams written
+    before the verdict field existed)."""
+    verdict = run_end.get("verdict")
+    if verdict == "violations":
+        return "VIOLATIONS"
+    if verdict == "unverified":
+        gaps = []
+        if run_end.get("truncated"):
+            gaps.append(f"{run_end['truncated']} truncated")
+        if run_end.get("lin_aborts"):
+            gaps.append(f"{run_end['lin_aborts']} linearization aborts")
+        if run_end.get("interrupted"):
+            gaps.append("interrupted")
+        return f"clean, {', '.join(gaps or ['partly checked'])} (unverified)"
+    if verdict == "clean":
+        return "clean and exhaustive"
+    return "unknown"
 
 
 def load(path):
@@ -164,6 +187,7 @@ def report(records, truncated):
               f"fingerprint {r.get('fingerprint')}  "
               f"executions {r.get('executions', 0):,}  "
               f"violations {r.get('violations', 0)}")
+        print(f"  verdict: {verdict_text(r)}")
     else:
         print("  stream ends without run_end: the writer was killed "
               "(resume from its last checkpoint)")

@@ -6,7 +6,7 @@
 //
 //   compass sweep-checkpoint v1
 //   config <Seed> <ScenariosPerLib> <MaxExecsPerScenario>
-//          <none|sleep|source> <auto|root>
+//          <none|source> <auto|root>
 //   gen <MinThreads> <MaxThreads> <MinOps> <MaxOps> <MinPre> <MaxPre>
 //   libs <N>
 //   lib <name>                                          (N lines)
@@ -17,17 +17,20 @@
 //        <MaxDepth> <LinAborts> <Truncated>
 //        <FirstBadScenario> <FirstBad>        (NDone lines, then CurLib)
 //
+//   snapshot v2 ... end snapshot              (iff HasScenario; the
+//                                              embedded sim grammar)
+//   end sweep-checkpoint
+//
 // The config line records the reduction mode and engine path the executed
 // share ran under; resuming under a different one would splice
 // incompatible exploration states (the caller enforces the match — see
 // compass_check sweep --resume).
-//   snapshot v1 ... end snapshot              (iff HasScenario; the
-//                                              embedded sim grammar)
-//   end sweep-checkpoint
 //
 //===----------------------------------------------------------------------===//
 
 #include "check/Checkpoint.h"
+
+#include "support/LineRecords.h"
 
 #include <cstdio>
 #include <sstream>
@@ -84,76 +87,6 @@ bool decodeToken(const std::string &T, std::string &Out) {
   return true;
 }
 
-/// Line cursor over the serialized text that can hand the unconsumed
-/// remainder to the embedded snapshot parser.
-struct Cursor {
-  std::string_view Text;
-  size_t Pos = 0;
-  size_t LineNo = 0;
-  std::string Line;
-  std::string Err;
-
-  explicit Cursor(std::string_view T) : Text(T) {}
-
-  bool next() {
-    while (Pos < Text.size()) {
-      size_t E = Text.find('\n', Pos);
-      std::string_view L = (E == std::string_view::npos)
-                               ? Text.substr(Pos)
-                               : Text.substr(Pos, E - Pos);
-      Pos = (E == std::string_view::npos) ? Text.size() : E + 1;
-      ++LineNo;
-      if (!L.empty() && L.back() == '\r')
-        L.remove_suffix(1);
-      if (!L.empty()) {
-        Line.assign(L);
-        return true;
-      }
-    }
-    Err = "unexpected end of checkpoint";
-    return false;
-  }
-
-  bool fail(const std::string &Msg) {
-    Err = "line " + std::to_string(LineNo) + ": " + Msg +
-          (Line.empty() ? "" : " (got: " + Line + ")");
-    return false;
-  }
-
-  std::string_view rest() const { return Text.substr(Pos); }
-};
-
-/// Splits one line into keyword + fields.
-struct Fields {
-  std::istringstream In;
-  explicit Fields(const std::string &Line) : In(Line) {}
-
-  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
-
-  template <typename T> bool num(T &Out) {
-    uint64_t V = 0;
-    if (!(In >> V))
-      return false;
-    Out = static_cast<T>(V);
-    return static_cast<uint64_t>(Out) == V;
-  }
-
-  bool flag(bool &Out) {
-    unsigned V = 0;
-    if (!(In >> V) || V > 1)
-      return false;
-    Out = V != 0;
-    return true;
-  }
-};
-
-bool expectKeyword(Cursor &C, const char *Kw, Fields &F) {
-  std::string W;
-  if (!F.word(W) || W != Kw)
-    return C.fail(std::string("expected '") + Kw + "'");
-  return true;
-}
-
 void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
   OS << "stat " << libName(St.L) << ' ' << St.Scenarios << ' '
      << St.Executions << ' ' << St.Completed << ' ' << St.Races << ' '
@@ -163,11 +96,11 @@ void writeStat(std::ostringstream &OS, const LibSweepStats &St) {
      << St.FirstBadScenario << ' ' << encodeToken(St.FirstBad) << '\n';
 }
 
-bool parseStat(Cursor &C, LibSweepStats &St) {
+bool parseStat(LineCursor &C, LibSweepStats &St) {
   if (!C.next())
     return false;
-  Fields F(C.Line);
-  if (!expectKeyword(C, "stat", F))
+  LineFields F(C.Line);
+  if (!F.keyword(C, "stat"))
     return false;
   std::string Name, Enc;
   if (!F.word(Name) || !parseLib(Name, St.L))
@@ -213,7 +146,7 @@ std::string check::serializeSweepCheckpoint(const SweepCheckpoint &C) {
 bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
                                  std::string &Err) {
   Out = SweepCheckpoint{};
-  Cursor C(Text);
+  LineCursor C(Text, "checkpoint");
   auto Done = [&](bool Ok) {
     if (!Ok)
       Err = C.Err;
@@ -229,9 +162,9 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
   if (!C.next())
     return Done(false);
   {
-    Fields F(C.Line);
+    LineFields F(C.Line);
     std::string Red, Eng;
-    if (!expectKeyword(C, "config", F) || !F.num(Out.Seed) ||
+    if (!F.keyword(C, "config") || !F.num(Out.Seed) ||
         !F.num(Out.ScenariosPerLib) || !F.num(Out.MaxExecutionsPerScenario) ||
         !F.word(Red) || !F.word(Eng))
       return Done(C.fail("malformed config record"));
@@ -244,8 +177,8 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
   if (!C.next())
     return Done(false);
   {
-    Fields F(C.Line);
-    if (!expectKeyword(C, "gen", F) || !F.num(Out.Gen.MinThreads) ||
+    LineFields F(C.Line);
+    if (!F.keyword(C, "gen") || !F.num(Out.Gen.MinThreads) ||
         !F.num(Out.Gen.MaxThreads) || !F.num(Out.Gen.MinOpsPerThread) ||
         !F.num(Out.Gen.MaxOpsPerThread) || !F.num(Out.Gen.MinPreemptions) ||
         !F.num(Out.Gen.MaxPreemptions))
@@ -256,17 +189,17 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
   if (!C.next())
     return Done(false);
   {
-    Fields F(C.Line);
-    if (!expectKeyword(C, "libs", F) || !F.num(NLibs) || NLibs == 0)
+    LineFields F(C.Line);
+    if (!F.keyword(C, "libs") || !F.num(NLibs) || NLibs == 0)
       return Done(C.fail("malformed libs record"));
   }
   for (uint64_t I = 0; I != NLibs; ++I) {
     if (!C.next())
       return Done(false);
-    Fields F(C.Line);
+    LineFields F(C.Line);
     std::string Name;
     Lib L;
-    if (!expectKeyword(C, "lib", F) || !F.word(Name) || !parseLib(Name, L))
+    if (!F.keyword(C, "lib") || !F.word(Name) || !parseLib(Name, L))
       return Done(C.fail("malformed lib record"));
     Out.Libs.push_back(L);
   }
@@ -275,8 +208,8 @@ bool check::parseSweepCheckpoint(std::string_view Text, SweepCheckpoint &Out,
   if (!C.next())
     return Done(false);
   {
-    Fields F(C.Line);
-    if (!expectKeyword(C, "progress", F) || !F.num(Out.Fp) ||
+    LineFields F(C.Line);
+    if (!F.keyword(C, "progress") || !F.num(Out.Fp) ||
         !F.num(Out.LibIndex) || !F.num(Out.ScenarioIndex) || !F.num(NDone) ||
         !F.flag(Out.HasScenario) || !F.num(Out.ScenarioLinAborts))
       return Done(C.fail("malformed progress record"));

@@ -292,18 +292,16 @@ SweepReport check::runSweep(const SweepOptions &O) {
   return runSweepResumable(O, SweepControl{}, nullptr).Rep;
 }
 
-uint64_t SweepReport::totalViolations() const {
-  uint64_t N = 0;
-  for (const LibSweepStats &St : PerLib)
-    N += St.Violations + St.Races + St.Deadlocks;
-  return N;
+SweepVerdict SweepReport::verdict() const {
+  if (!clean())
+    return SweepVerdict::Violations;
+  return totalTruncated() || totalLinAborts() ? SweepVerdict::Unverified
+                                              : SweepVerdict::Clean;
 }
 
-uint64_t SweepReport::totalExecutions() const {
-  uint64_t N = 0;
-  for (const LibSweepStats &St : PerLib)
-    N += St.Executions;
-  return N;
+const char *check::sweepVerdictName(SweepVerdict V) {
+  static const char *const Names[] = {"violations", "clean", "unverified"};
+  return Names[static_cast<unsigned>(V)];
 }
 
 std::string SweepReport::str() const {
@@ -325,8 +323,23 @@ std::string SweepReport::str() const {
       OS << "  first violation (scenario #" << St.FirstBadScenario
          << "): " << St.FirstBad << "\n";
   }
-  OS << "fingerprint: 0x" << std::hex << fingerprint() << std::dec
-     << (clean() ? "  (clean)" : "  (VIOLATIONS)") << "\n";
+  OS << "fingerprint: 0x" << std::hex << fingerprint() << std::dec;
+  switch (verdict()) {
+  case SweepVerdict::Violations:
+    OS << "  (VIOLATIONS)\n";
+    break;
+  case SweepVerdict::Clean:
+    OS << "  (clean, exhaustive)\n";
+    break;
+  case SweepVerdict::Unverified:
+    OS << "  (clean, ";
+    if (uint64_t T = totalTruncated())
+      OS << T << " truncated" << (totalLinAborts() ? ", " : "");
+    if (uint64_t A = totalLinAborts())
+      OS << A << " linearization aborts";
+    OS << ": unverified)\n";
+    break;
+  }
   return OS.str();
 }
 
@@ -342,6 +355,8 @@ std::string SweepReport::json() const {
     FP << "0x" << std::hex << fingerprint();
     J.field("fingerprint", FP.str());
   }
+  J.field("verdict", sweepVerdictName(verdict()));
+  J.field("truncated", totalTruncated());
   J.key("libs");
   J.beginArray();
   for (const LibSweepStats &St : PerLib) {

@@ -60,13 +60,12 @@ struct LibSweepStats {
   uint64_t Races = 0;
   uint64_t Deadlocks = 0;
   uint64_t Violations = 0;
-  uint64_t SleepPruned = 0; ///< Branches cut by the sleep/source reduction.
+  uint64_t SleepPruned = 0; ///< Branches cut by the source-set reduction.
   uint64_t RfPruned = 0;    ///< Restricted re-runs with no fresh reads-from
                             ///< options (source-set mode).
   uint64_t SourcePruned = 0; ///< Covered sched siblings skipped without an
                              ///< execution (source-set mode).
-  uint64_t CacheHits = 0; ///< Reads-from duplicate subtrees skipped without
-                          ///< an execution (source-set mode).
+  uint64_t CacheHits = 0; ///< Always 0 (see sim::Explorer::Summary).
   uint64_t MaxDepth = 0; ///< Max over the library's scenarios.
   uint64_t LinAborts = 0; ///< Executions whose witness search hit budget.
   unsigned Truncated = 0; ///< Scenarios whose tree hit the execution cap.
@@ -74,14 +73,36 @@ struct LibSweepStats {
   std::string FirstBad; ///< Scenario + verdict of the first violation.
 };
 
+/// The three-valued outcome of a sweep; Clean means every execution of
+/// every scenario was checked.
+enum class SweepVerdict { Violations, Clean, Unverified };
+/// "violations", "clean" or "unverified".
+const char *sweepVerdictName(SweepVerdict V);
+
 struct SweepReport {
   uint64_t Seed = 0;
   unsigned Workers = 1;
   std::vector<LibSweepStats> PerLib;
 
-  uint64_t totalViolations() const;
-  uint64_t totalExecutions() const;
+  /// Sum of the per-library counter \p F.
+  template <typename T> uint64_t total(T LibSweepStats::*F) const {
+    uint64_t N = 0;
+    for (const LibSweepStats &St : PerLib)
+      N += St.*F;
+    return N;
+  }
+  uint64_t totalViolations() const {
+    return total(&LibSweepStats::Violations) + total(&LibSweepStats::Races) +
+           total(&LibSweepStats::Deadlocks);
+  }
+  uint64_t totalExecutions() const { return total(&LibSweepStats::Executions); }
+  uint64_t totalTruncated() const { return total(&LibSweepStats::Truncated); }
+  uint64_t totalLinAborts() const { return total(&LibSweepStats::LinAborts); }
   bool clean() const { return totalViolations() == 0; }
+
+  /// Unverified when clean() but totalTruncated() trees hit the execution
+  /// cap or totalLinAborts() executions were passed unchecked.
+  SweepVerdict verdict() const;
 
   /// FNV-1a folded per scenario during the sweep: every scenario mixes in
   /// its library, index, and exhaustion flag; scenarios whose decision

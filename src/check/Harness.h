@@ -144,10 +144,9 @@ struct RunState {
 /// Exploration options tuned for \p S (preemption bound from the scenario,
 /// a per-scenario execution budget, StopOnViolation off so summaries stay
 /// worker-count independent). Verification defaults to the source-set
-/// reduction (DESIGN.md Sections 8 and 12, the strongest mode with the
-/// same verdicts); pass ReductionMode::SleepSet for the classic reduction
-/// or ReductionMode::None for an unreduced baseline (e.g. when comparing
-/// against pinned fingerprints of unreduced exploration).
+/// reduction (DESIGN.md Sections 8 and 12); pass ReductionMode::None for
+/// an unreduced baseline (e.g. when comparing against pinned fingerprints
+/// of unreduced exploration).
 sim::Explorer::Options
 scenarioOptions(const Scenario &S, uint64_t MaxExecutions, unsigned Workers,
                 sim::ReductionMode Red = sim::ReductionMode::SourceSet,

@@ -9,14 +9,14 @@
 ///
 ///   compass_check sweep   [--seed N] [--per-lib N] [--workers N]
 ///                         [--max-execs N] [--lib NAME]...
-///                         [--reduction none|sleep|source]
+///                         [--reduction none|source]
 ///                         [--engine auto|root] [--json]
 ///                         [--checkpoint FILE] [--checkpoint-every N|Ns]
 ///                         [--time-budget SECS] [--telemetry FILE]
 ///                         [--resume FILE]
 ///   compass_check mutants [--seed N] [--max-scenarios N] [--max-execs N]
 ///                         [--mut NAME]... [--no-shrink] [--emit-corpus DIR]
-///                         [--reduction none|sleep|source]
+///                         [--reduction none|source]
 ///   compass_check replay  FILE...
 ///
 /// `sweep` explores generated scenarios against the pristine libraries and
@@ -69,14 +69,14 @@ namespace {
                "usage:\n"
                "  compass_check sweep   [--seed N] [--per-lib N] "
                "[--workers N] [--max-execs N] [--lib NAME]... "
-               "[--reduction none|sleep|source] [--engine auto|root] "
+               "[--reduction none|source] [--engine auto|root] "
                "[--json]\n"
                "                        [--checkpoint FILE] "
                "[--checkpoint-every N|Ns] [--time-budget SECS] "
                "[--telemetry FILE] [--resume FILE]\n"
                "  compass_check mutants [--seed N] [--max-scenarios N] "
                "[--max-execs N] [--mut NAME]... [--no-shrink] "
-               "[--emit-corpus DIR] [--reduction none|sleep|source]\n"
+               "[--emit-corpus DIR] [--reduction none|source]\n"
                "  compass_check replay  FILE...\n"
                "numeric flags take unsigned decimal values; --workers "
                "must be >= 1; --checkpoint-every takes executions (N) or "
@@ -141,7 +141,7 @@ const char *flagValue(int Argc, char **Argv, int &I, const char *Name) {
 sim::ReductionMode parseReduction(const char *V) {
   sim::ReductionMode M;
   if (!sim::parseReductionMode(V, M))
-    usage((std::string("bad value for --reduction (none|sleep|source): ") + V)
+    usage((std::string("bad value for --reduction (none|source): ") + V)
               .c_str());
   return M;
 }

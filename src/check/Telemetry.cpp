@@ -143,6 +143,14 @@ void Telemetry::runEnd(const SweepReport &Rep, bool Interrupted) {
   }
   J.field("executions", Rep.totalExecutions());
   J.field("violations", Rep.totalViolations());
+  J.field("truncated", Rep.totalTruncated());
+  J.field("lin_aborts", Rep.totalLinAborts());
+  // An interrupted run checked only part of the sweep: it can prove a
+  // violation, never a clean result.
+  SweepVerdict V = Rep.verdict();
+  if (Interrupted && V == SweepVerdict::Clean)
+    V = SweepVerdict::Unverified;
+  J.field("verdict", sweepVerdictName(V));
   J.field("interrupted", Interrupted);
   J.endObject();
   emit(J.str());

@@ -26,7 +26,10 @@
 ///                  verdict rule, and the replayable decision trace.
 ///  * checkpoint  — a checkpoint file was written: path, reason
 ///                  ("cadence", "signal", "time_budget"), executions.
-///  * run_end     — final fingerprint, totals, interrupted flag.
+///  * run_end     — final fingerprint, totals (executions, violations,
+///                  truncated scenarios, linearization aborts), the
+///                  three-valued verdict (SweepReport::verdict; an
+///                  interrupted run is never "clean"), interrupted flag.
 ///
 //===----------------------------------------------------------------------===//
 

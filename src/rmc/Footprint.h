@@ -7,7 +7,7 @@
 /// \file
 /// The access footprint of one machine step: which location it touches and
 /// in which capacity (read / write / update / fence). Footprints are the
-/// interface between the view machine and the sleep-set partial-order
+/// interface between the view machine and the source-set partial-order
 /// reduction (sim/Reduction.h): the Machine reports the footprint of every
 /// executed operation, the Scheduler tracks the *pending* footprint of each
 /// parked thread, and the reduction layer derives an independence relation
@@ -65,8 +65,7 @@ struct Footprint {
   /// read-side asymmetric (the accessor must have observed the whole
   /// history), so both access orders of a non-atomic/atomic pair must be
   /// explored for the complementary race direction to surface. Excluded
-  /// from operator== so sleep snapshots written before the flag existed
-  /// still validate (the flag is derived, never free).
+  /// from operator==: the flag is derived from the access, never free.
   bool Atomic = false;
 
   bool isRead() const { return K == Kind::Read; }

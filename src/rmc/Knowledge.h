@@ -46,11 +46,6 @@ struct Knowledge {
     Phys.clear();
     Events.clear();
   }
-
-  /// Knowledge-inclusion: both components included.
-  bool includedIn(const Knowledge &Other) const {
-    return Phys.includedIn(Other.Phys) && Events.subsetOf(Other.Events);
-  }
 };
 
 } // namespace compass::rmc

@@ -378,17 +378,6 @@ public:
     return E;
   }
 
-  /// When enabled, load/loadWhere/cas announce a reads-from duplicate mask
-  /// to the ChoiceSource right before each multi-way choice
-  /// (ChoiceSource::noteSkippable): bit k marks an alternative whose
-  /// message is value- and knowledge-identical to alternative k-1's,
-  /// timestamp-adjacent, and strictly below the modification-order maximum
-  /// — the two post-states are bisimilar for every verdict we check, so
-  /// the explorer may skip alternative k's subtree. The mask is a pure
-  /// function of the decision prefix, so replayed paths recompute it
-  /// identically. Enabled by the scheduler under source-set reduction.
-  void enableDupDetect(bool On) { DupDetectOn = On; }
-
 private:
   /// One entry of a thread's per-location release map. The map is a flat
   /// vector with a live watermark: threads release through a handful of
@@ -512,7 +501,6 @@ private:
   // cleared right after it, never across snapshots or executions.
   bool RfFloorOn = false;
   bool RfFloorEmpty = false;
-  bool DupDetectOn = false;
   Loc RfFloorLoc = 0;
   uint32_t RfFloorTs = 0;
   View PickCurScratch;    ///< Choosing thread's Cur.Phys before SC pre-join.

@@ -17,15 +17,11 @@
 //   s <Tid> <Loc> <Kind> <Sc> <Atomic> <Ver>            (NSleep lines)
 //   end snapshot
 //
-// "snapshot v1" (pre-source-set) is still accepted on read: its summary
-// lacks the three source-set counters (default 0) and its sleep records
-// lack the Atomic flag and reads-from watermark (defaults false / 0 —
-// sound, because v1 snapshots can only come from sleep-mode runs, which
-// never consult either field). Writes always emit v2.
-//
 //===----------------------------------------------------------------------===//
 
 #include "sim/Checkpoint.h"
+
+#include "support/LineRecords.h"
 
 #include <cassert>
 #include <mutex>
@@ -60,66 +56,6 @@ void writeDecision(std::ostringstream &OS, const char *Kind,
                    const DecisionTree::Decision &D) {
   OS << Kind << ' ' << D.Chosen << ' ' << D.Limit << ' ' << D.Count << ' '
      << tagOrDash(D.Tag) << '\n';
-}
-
-/// Line-cursor over the serialized text.
-struct Reader {
-  std::istringstream In;
-  std::string Line;
-  size_t LineNo = 0;
-  std::string Err;
-
-  explicit Reader(std::string_view Text) : In(std::string(Text)) {}
-
-  bool next() {
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      if (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        return true;
-    }
-    Err = "unexpected end of snapshot";
-    return false;
-  }
-
-  bool fail(const std::string &Msg) {
-    Err = "line " + std::to_string(LineNo) + ": " + Msg +
-          (Line.empty() ? "" : " (got: " + Line + ")");
-    return false;
-  }
-};
-
-/// Parses one line into `Keyword` + numeric/string fields.
-struct Fields {
-  std::istringstream In;
-  explicit Fields(const std::string &Line) : In(Line) {}
-
-  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
-
-  template <typename T> bool num(T &Out) {
-    uint64_t V = 0;
-    if (!(In >> V))
-      return false;
-    Out = static_cast<T>(V);
-    // Round-trip check: reject values that do not fit the target type.
-    return static_cast<uint64_t>(Out) == V;
-  }
-
-  bool flag(bool &Out) {
-    unsigned V = 0;
-    if (!(In >> V) || V > 1)
-      return false;
-    Out = V != 0;
-    return true;
-  }
-};
-
-bool expectKeyword(Reader &R, const char *Kw, Fields &F) {
-  std::string W;
-  if (!F.word(W) || W != Kw)
-    return R.fail(std::string("expected '") + Kw + "'");
-  return true;
 }
 
 } // namespace
@@ -163,11 +99,12 @@ std::string sim::serializeSnapshot(const ExplorationSnapshot &S) {
 
 namespace {
 
-bool parseDecision(Reader &R, const char *Kind, DecisionTree::Decision &D) {
+bool parseDecision(LineCursor &R, const char *Kind,
+                   DecisionTree::Decision &D) {
   if (!R.next())
     return false;
-  Fields F(R.Line);
-  if (!expectKeyword(R, Kind, F))
+  LineFields F(R.Line);
+  if (!F.keyword(R, Kind))
     return false;
   std::string Tag;
   if (!F.num(D.Chosen) || !F.num(D.Limit) || !F.num(D.Count) ||
@@ -185,7 +122,7 @@ bool parseDecision(Reader &R, const char *Kind, DecisionTree::Decision &D) {
 bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
                         std::string &Err) {
   Out = ExplorationSnapshot{};
-  Reader R(Text);
+  LineCursor R(Text, "snapshot");
   auto Done = [&](bool Ok) {
     if (!Ok)
       Err = R.Err;
@@ -194,29 +131,21 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
 
   if (!R.next())
     return Done(false);
-  unsigned Version = 0;
-  if (R.Line == "snapshot v2")
-    Version = 2;
-  else if (R.Line == "snapshot v1")
-    Version = 1; // Pre-source-set grammar; see file comment.
-  else
+  if (R.Line != "snapshot v2")
     return Done(R.fail("unsupported snapshot header (want 'snapshot v2')"));
 
   Explorer::Summary &P = Out.Partial;
   if (!R.next())
     return Done(false);
   {
-    Fields F(R.Line);
-    if (!expectKeyword(R, "summary", F))
+    LineFields F(R.Line);
+    if (!F.keyword(R, "summary"))
       return Done(false);
     if (!F.num(P.Executions) || !F.num(P.Completed) || !F.num(P.Deadlocks) ||
         !F.num(P.Races) || !F.num(P.Diverged) || !F.num(P.Pruned) ||
-        !F.num(P.SleepPruned))
-      return Done(R.fail("malformed summary record"));
-    if (Version >= 2 && (!F.num(P.RfPruned) || !F.num(P.SourcePruned) ||
-                         !F.num(P.CacheHits)))
-      return Done(R.fail("malformed summary record"));
-    if (!F.num(P.Violations) || !F.flag(P.Exhausted) || !F.num(P.MaxDepth) ||
+        !F.num(P.SleepPruned) || !F.num(P.RfPruned) ||
+        !F.num(P.SourcePruned) || !F.num(P.CacheHits) ||
+        !F.num(P.Violations) || !F.flag(P.Exhausted) || !F.num(P.MaxDepth) ||
         !F.flag(P.HasViolation))
       return Done(R.fail("malformed summary record"));
   }
@@ -225,17 +154,17 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
   if (!R.next())
     return Done(false);
   {
-    Fields F(R.Line);
-    if (!expectKeyword(R, "tags", F) || !F.num(NTags))
+    LineFields F(R.Line);
+    if (!F.keyword(R, "tags") || !F.num(NTags))
       return Done(R.fail("malformed tags record"));
   }
   for (uint64_t I = 0; I != NTags; ++I) {
     if (!R.next())
       return Done(false);
-    Fields F(R.Line);
+    LineFields F(R.Line);
     std::string Name;
     Explorer::TagStat St;
-    if (!expectKeyword(R, "tag", F) || !F.word(Name) || !F.num(St.Choices) ||
+    if (!F.keyword(R, "tag") || !F.word(Name) || !F.num(St.Choices) ||
         !F.num(St.AltSum) || !F.num(St.MaxArity))
       return Done(R.fail("malformed tag record"));
     P.Tags[Name == "-" ? "" : Name] = St;
@@ -245,8 +174,8 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
   if (!R.next())
     return Done(false);
   {
-    Fields F(R.Line);
-    if (!expectKeyword(R, "violation", F) || !F.num(NViol))
+    LineFields F(R.Line);
+    if (!F.keyword(R, "violation") || !F.num(NViol))
       return Done(R.fail("malformed violation record"));
   }
   for (uint64_t I = 0; I != NViol; ++I) {
@@ -262,17 +191,17 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
   if (!R.next())
     return Done(false);
   {
-    Fields F(R.Line);
-    if (!expectKeyword(R, "prefixes", F) || !F.num(NPrefixes))
+    LineFields F(R.Line);
+    if (!F.keyword(R, "prefixes") || !F.num(NPrefixes))
       return Done(R.fail("malformed prefixes record"));
   }
   for (uint64_t I = 0; I != NPrefixes; ++I) {
     if (!R.next())
       return Done(false);
-    Fields F(R.Line);
+    LineFields F(R.Line);
     uint64_t NDec = 0, NSleep = 0;
     DecisionTree::Prefix Pf;
-    if (!expectKeyword(R, "prefix", F) || !F.num(NDec) ||
+    if (!F.keyword(R, "prefix") || !F.num(NDec) ||
         !F.flag(Pf.HasSleep) || !F.num(Pf.SleepOrdinal) || !F.num(NSleep))
       return Done(R.fail("malformed prefix record"));
     for (uint64_t J = 0; J != NDec; ++J) {
@@ -286,14 +215,13 @@ bool sim::parseSnapshot(std::string_view Text, ExplorationSnapshot &Out,
     for (uint64_t J = 0; J != NSleep; ++J) {
       if (!R.next())
         return Done(false);
-      Fields FS(R.Line);
+      LineFields FS(R.Line);
       SleepMove Mv;
       uint64_t L = 0;
       unsigned Kind = 0;
-      if (!expectKeyword(R, "s", FS) || !FS.num(Mv.Tid) || !FS.num(L) ||
-          !FS.num(Kind) || !FS.flag(Mv.Fp.Sc))
-        return Done(R.fail("malformed sleep record"));
-      if (Version >= 2 && (!FS.flag(Mv.Fp.Atomic) || !FS.num(Mv.Ver)))
+      if (!FS.keyword(R, "s") || !FS.num(Mv.Tid) || !FS.num(L) ||
+          !FS.num(Kind) || !FS.flag(Mv.Fp.Sc) || !FS.flag(Mv.Fp.Atomic) ||
+          !FS.num(Mv.Ver))
         return Done(R.fail("malformed sleep record"));
       if (Kind > static_cast<unsigned>(rmc::Footprint::Kind::Free))
         return Done(R.fail("sleep footprint kind out of range"));

@@ -11,7 +11,7 @@
 ///
 ///  * the live frontier as a disjoint set of pinned DecisionTree prefixes
 ///    (the shared work queue plus every worker's drained backtrack state,
-///    with sleep-set snapshots where the reduction was active), and
+///    with sleep snapshots where the reduction was active), and
 ///  * the deterministic Summary core of the already-executed share.
 ///
 /// Because donated prefixes partition the decision tree (the invariant the

@@ -37,7 +37,7 @@
 namespace compass::sim {
 
 /// One sleeping scheduler move: a thread together with the footprint of its
-/// pending operation at the time it was put to sleep. Used by the sleep-set
+/// pending operation at the time it was put to sleep. Used by the source-set
 /// partial-order reduction (sim/Reduction.h) and carried inside donated
 /// DecisionTree prefixes so parallel work donation can cross-check the
 /// reduction state a recipient worker recomputes.
@@ -48,8 +48,7 @@ struct SleepMove {
   /// was put to sleep. Used by the source-set reduction (Reduction.h): a
   /// sleeping read/update scheduled later may only read messages appended
   /// at or after this length (older reads-from choices commute back to the
-  /// already-explored sibling that ran the move first). Always 0 under the
-  /// plain sleep-set reduction, so sleep-mode snapshots are unchanged.
+  /// already-explored sibling that ran the move first).
   uint32_t Ver = 0;
 
   bool operator==(const SleepMove &O) const {
@@ -70,7 +69,7 @@ public:
 
   /// An unexplored subtree, produced by split(): a decision prefix that a
   /// fresh DecisionTree can be seeded with, plus an optional snapshot of
-  /// the sleep-set reduction state at the prefix's final decision.
+  /// the reduction's sleep state at the prefix's final decision.
   ///
   /// The sleep snapshot is *redundant* for correctness — sleep state is a
   /// pure function of the decision path, so a recipient worker recomputes
@@ -87,7 +86,7 @@ public:
     /// the final decision among the "sched"-tagged decisions of Path.
     size_t SleepOrdinal = 0;
     /// Set when the final decision of Path is a sched choice and the donor
-    /// ran with the sleep-set reduction enabled.
+    /// ran with the source-set reduction enabled.
     bool HasSleep = false;
   };
 

@@ -76,7 +76,7 @@ Task<bool> Ebr::advanceOnce(Env &E) {
   // itself: a retire tagged Ep+1 can only exist after this CAS, so
   // claiming atomically with it keeps such cells out of this free. (The
   // Reclaim-vs-SC dependence in rmc::independent makes this pairing
-  // visible to the sleep-set reduction.) The claim is a local snapshot: a
+  // visible to the source-set reduction.) The claim is a local snapshot: a
   // concurrent advancer must never see these entries again.
   std::vector<Batch> Claimed = std::move(Bins[(Ep + 1) % 3]);
   Bins[(Ep + 1) % 3].clear();

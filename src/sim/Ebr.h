@@ -23,7 +23,7 @@
 /// announcement scan for mutation testing.
 ///
 /// Deviations from native/Ebr.h, chosen to keep exploration tractable and
-/// the sleep-set reduction sound:
+/// the source-set reduction sound:
 ///  * retire() does not opportunistically advance (a pinned retirer would
 ///    only ever observe itself blocking the scan); unpin() drains instead,
 ///    running up to three advance rounds when retired cells are pending;

@@ -18,8 +18,6 @@ const char *sim::reductionModeName(ReductionMode M) {
   switch (M) {
   case ReductionMode::None:
     return "none";
-  case ReductionMode::SleepSet:
-    return "sleep";
   case ReductionMode::SourceSet:
     return "source";
   }
@@ -29,8 +27,6 @@ const char *sim::reductionModeName(ReductionMode M) {
 bool sim::parseReductionMode(const std::string &S, ReductionMode &Out) {
   if (S == "none")
     Out = ReductionMode::None;
-  else if (S == "sleep")
-    Out = ReductionMode::SleepSet;
   else if (S == "source")
     Out = ReductionMode::SourceSet;
   else
@@ -55,26 +51,20 @@ bool sim::parseEnginePath(const std::string &S, EnginePath &Out) {
 Explorer::Explorer(Options O)
     : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
       LastProgress(Start) {
-  RedEnabled = (Opts.Reduction == ReductionMode::SleepSet ||
-                Opts.Reduction == ReductionMode::SourceSet) &&
-               Opts.ExploreMode == Mode::Exhaustive;
-  Red.enableSourceSets(Opts.Reduction == ReductionMode::SourceSet);
+  if (Opts.Reduction == ReductionMode::SourceSet &&
+      Opts.ExploreMode == Mode::Exhaustive)
+    Red.emplace();
 }
 
 Explorer::Explorer() : Explorer(Options{}) {}
 
 Explorer::Explorer(Options O, DecisionTree::Prefix Seed)
-    : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
-      LastProgress(Start) {
-  RedEnabled = (Opts.Reduction == ReductionMode::SleepSet ||
-                Opts.Reduction == ReductionMode::SourceSet) &&
-               Opts.ExploreMode == Mode::Exhaustive;
-  Red.enableSourceSets(Opts.Reduction == ReductionMode::SourceSet);
+    : Explorer(O) {
   // Consume the donor's sleep snapshot before the path moves into the
   // tree; the reduction validates its recomputed state against it when
   // replay reaches the seeded ordinal.
-  if (RedEnabled && Seed.HasSleep)
-    Red.setSeed(std::move(Seed.Sleep), Seed.SleepOrdinal);
+  if (Red && Seed.HasSleep)
+    Red->setSeed(std::move(Seed.Sleep), Seed.SleepOrdinal);
   Tree = DecisionTree(std::move(Seed));
   // The pinned seed lies on every path this explorer executes.
   for (const DecisionTree::Decision &D : Tree.trace())
@@ -95,9 +85,8 @@ bool Explorer::beginExecution() {
     RandTrace.clear();
   else
     Tree.beginExecution();
-  if (RedEnabled)
-    Red.beginExecution();
-  PendingSkipMask = 0;
+  if (Red)
+    Red->beginExecution();
   InExecution = true;
   return true;
 }
@@ -162,27 +151,28 @@ unsigned Explorer::chooseLimited(unsigned Count, unsigned Limit,
   const size_t Pos = Tree.position();
   const bool Fresh = !Tree.replaying();
   unsigned First = 0;
-  // Record the announced skippable mask for this node (source-set mode).
-  // Masks are pure functions of the decision prefix: replayed nodes
-  // recompute the identical mask, and nodes skipped by a copy-on-write
-  // resume keep the entry their recording execution wrote.
-  if (RedEnabled && Red.sourceSets()) {
+  // Record the reduction's covered alternatives for this node (source-set
+  // mode; 0 at a non-sched choice). Masks are pure functions of the
+  // decision prefix: replayed nodes recompute the identical mask, and
+  // nodes skipped by a copy-on-write resume keep the entry their recording
+  // execution wrote.
+  if (Red) {
+    const uint64_t Covered = Red->takePruneMask();
     if (SkipMasks.size() <= Pos)
       SkipMasks.resize(Pos + 1, 0);
-    SkipMasks[Pos] = PendingSkipMask;
+    SkipMasks[Pos] = Covered;
     // A fresh node starts at its first alternative not known to be
     // covered; the covered ones before it are skipped without an
     // execution, exactly like covered siblings at advance time. When every
     // alternative is covered, the node starts at 0 and the execution is
     // cut where the reduction prunes it.
-    if (Fresh && PendingSkipMask != 0) {
-      First = static_cast<unsigned>(std::countr_one(PendingSkipMask));
+    if (Fresh && Covered != 0) {
+      First = static_cast<unsigned>(std::countr_one(Covered));
       if (First >= Limit)
         First = 0;
-      else if (First != 0)
-        countSkipped(skipKindAt(Pos, Tag, 0), First);
+      else
+        Sum.SourcePruned += First;
     }
-    PendingSkipMask = 0;
   }
 
   // A fresh node with more than one alternative left is a potential
@@ -299,18 +289,15 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     // Source-set advance-time skipping: after each backtrack the path's
     // final decision is the freshly advanced alternative. If the reduction
     // proved that sibling fully covered (Prune verdict recorded at its
-    // choice point) or the machine flagged it as a reads-from duplicate of
-    // the alternative just explored, discard the subtree without running an
-    // execution and advance again. The skippable masks are pure functions
-    // of the (unchanged) prefix above the node, so this is exactly the
-    // verdict an execution taking the alternative would have received.
+    // choice point), discard the subtree without running an execution and
+    // advance again. The skippable masks are pure functions of the
+    // (unchanged) prefix above the node, so this is exactly the verdict an
+    // execution taking the alternative would have received.
     while (HasWork) {
       const auto &Trace = Tree.trace();
-      const DecisionTree::Decision &D = Trace.back();
-      const SkipKind SK = skipKindAt(Trace.size() - 1, D.Tag, D.Chosen);
-      if (SK == SkipKind::None)
+      if (!skippableAt(Trace.size() - 1, Trace.back().Chosen))
         break;
-      countSkipped(SK, 1);
+      ++Sum.SourcePruned;
       HasWork = Tree.advance();
     }
     trimPathStats();
@@ -359,41 +346,23 @@ void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
   }
 }
 
-Explorer::SkipKind Explorer::skipKindAt(size_t Pos, const char *Tag,
-                                        unsigned Alt) const {
-  // Mask bit k set = alternative k is covered: a sched alternative the
-  // source-set reduction prunes, or a load/CAS alternative that reads the
-  // same value with the same knowledge as alternative k-1 (rmc::Machine's
-  // duplicate detection) — exploring it cannot change any verdict. Masks
-  // cover the first 64 alternatives only, and are recorded in source-set
-  // mode only.
-  if (Alt >= 64 || Pos >= SkipMasks.size() || !((SkipMasks[Pos] >> Alt) & 1))
-    return SkipKind::None;
-  return Tag && std::strcmp(Tag, "sched") == 0 ? SkipKind::Source
-                                                : SkipKind::RfDup;
-}
-
-void Explorer::countSkipped(SkipKind SK, uint64_t N) {
-  if (SK == SkipKind::Source)
-    Sum.SourcePruned += N;
-  else if (SK == SkipKind::RfDup)
-    Sum.CacheHits += N;
+bool Explorer::skippableAt(size_t Pos, unsigned Alt) const {
+  // Mask bit k set = sched alternative k is one the source-set reduction
+  // prunes. Masks cover the first 64 alternatives only, and are recorded in
+  // source-set mode only.
+  return Alt < 64 && Pos < SkipMasks.size() && ((SkipMasks[Pos] >> Alt) & 1);
 }
 
 void Explorer::dropSkippedDonations(std::vector<DecisionTree::Prefix> &Out,
                                     bool KeepLast) {
-  if (!RedEnabled || !Red.sourceSets() || Out.empty())
+  if (!Red || Out.empty())
     return;
   const size_t Limit = Out.size() - (KeepLast ? 1 : 0);
   size_t W = 0;
   for (size_t I = 0, E = Out.size(); I != E; ++I) {
-    SkipKind SK = SkipKind::None;
-    if (I < Limit && !Out[I].Path.empty()) {
-      const DecisionTree::Decision &D = Out[I].Path.back();
-      SK = skipKindAt(Out[I].Path.size() - 1, D.Tag, D.Chosen);
-    }
-    if (SK != SkipKind::None) {
-      countSkipped(SK, 1);
+    if (I < Limit && !Out[I].Path.empty() &&
+        skippableAt(Out[I].Path.size() - 1, Out[I].Path.back().Chosen)) {
+      ++Sum.SourcePruned;
       continue;
     }
     if (W != I)
@@ -415,9 +384,9 @@ std::vector<DecisionTree::Prefix> Explorer::split(size_t MaxDonations) {
   // (on the donor) instead of shipped — a recipient would run an execution
   // on them, and the fingerprint would depend on the work distribution.
   dropSkippedDonations(Out, /*KeepLast=*/false);
-  if (RedEnabled)
+  if (Red)
     for (DecisionTree::Prefix &P : Out)
-      Red.annotate(P);
+      Red->annotate(P);
   return Out;
 }
 
@@ -435,9 +404,9 @@ std::vector<DecisionTree::Prefix> Explorer::drainFrontier() {
     // Like split(): carry the sleep state so recipients can cross-check
     // their recomputation (annotation is validation only — the state is a
     // pure function of the path).
-    if (RedEnabled)
+    if (Red)
       for (DecisionTree::Prefix &P : Out)
-        Red.annotate(P);
+        Red->annotate(P);
   }
   // The executed share of this subtree is complete; its unexplored
   // remainder now lives in Out and carries its own exhaustion accounting.

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,13 +64,11 @@ namespace compass::sim {
 /// Which state-space reduction the explorer applies (DESIGN.md Sections 8
 /// and 12).
 enum class ReductionMode {
-  None,     ///< Plain exhaustive DFS (baseline; fingerprint-stable).
-  SleepSet, ///< Sleep-set partial-order reduction over sched choices.
-  SourceSet ///< Source-set DPOR: sleep sets upgraded with the watermark-
-            ///< refined wake relation, restricted re-runs of sleeping
-            ///< reads/updates, advance-time skipping of covered sched
-            ///< siblings, and reads-from duplicate pruning at load/CAS
-            ///< choice nodes (sim/Reduction.h).
+  None,     ///< Plain exhaustive DFS (the oracle; fingerprint-stable).
+  SourceSet ///< Source-set DPOR over sched choices: sleep sets with the
+            ///< watermark-refined wake relation, restricted re-runs of
+            ///< sleeping reads/updates, and skipping of covered sched
+            ///< alternatives without an execution (sim/Reduction.h).
 };
 
 /// How the exploration engine re-establishes state between executions
@@ -81,7 +80,7 @@ enum class EnginePath {
              ///< A/B reference for the copy-on-write path).
 };
 
-/// Canonical spelling of a ReductionMode ("none" | "sleep" | "source");
+/// Canonical spelling of a ReductionMode ("none" | "source");
 /// one vocabulary across the CLI, checkpoints, telemetry, and benchmarks.
 const char *reductionModeName(ReductionMode M);
 /// Inverse of reductionModeName; false on an unknown spelling.
@@ -149,7 +148,7 @@ public:
     uint64_t Races = 0;
     uint64_t Diverged = 0;   ///< Runs cut off by the step budget.
     uint64_t Pruned = 0;     ///< Stutter iterations cut by Env::prune.
-    uint64_t SleepPruned = 0; ///< Executions cut by the sleep/source-set
+    uint64_t SleepPruned = 0; ///< Executions cut by the source-set
                               ///< reduction at an asleep pick.
     uint64_t RfPruned = 0;    ///< Executions cut because a restricted
                               ///< re-run's reads-from set was empty
@@ -160,9 +159,10 @@ public:
                                ///< first live alternative, and covered
                                ///< siblings at advance time (source-set
                                ///< mode only).
-    uint64_t CacheHits = 0;  ///< Reads-from duplicate subtrees skipped at
-                             ///< advance time — no execution was run
-                             ///< (source-set mode only).
+    uint64_t CacheHits = 0;  ///< Always 0: nothing increments it since the
+                             ///< reads-from duplicate cache was removed.
+                             ///< Kept so fingerprints, checkpoint formats
+                             ///< and JSON keys stay unchanged.
     uint64_t Violations = 0; ///< Executions whose check failed.
     bool Exhausted = false;  ///< Whole tree covered (exhaustive mode).
     uint64_t MaxDepth = 0;   ///< Deepest decision sequence seen.
@@ -244,14 +244,6 @@ public:
 
   size_t decisionPosition() const override;
 
-  /// Covered alternatives of the next choose() (source-set mode): sched
-  /// alternatives the reduction prunes, announced by the scheduler, and
-  /// reads-from duplicates, announced by the machine. Recorded per tree
-  /// node; a fresh node starts at its first uncovered alternative, and
-  /// endExecution() skips covered siblings (Summary::SourcePruned /
-  /// Summary::CacheHits), neither burning an execution.
-  void noteSkippable(uint64_t Mask) override { PendingSkipMask = Mask; }
-
   const Options &options() const { return Opts; }
   /// The summary so far. Timing and per-tag statistics are folded in by
   /// this call, not after every execution.
@@ -297,7 +289,7 @@ public:
 
   /// Donates up to \p MaxDonations unexplored subtree prefixes from the
   /// shallowest open choice point; see DecisionTree::split(). When the
-  /// sleep-set reduction is active, each donated prefix is annotated with
+  /// source-set reduction is active, each donated prefix is annotated with
   /// the donor's sleep state so the recipient can cross-check its own.
   std::vector<DecisionTree::Prefix> split(size_t MaxDonations);
 
@@ -322,25 +314,21 @@ public:
   /// Depth of the current decision path.
   uint64_t currentDepth() const { return Tree.depth(); }
 
-  /// The sleep/source-set reduction driving this explorer, or nullptr when
+  /// The source-set reduction driving this explorer, or nullptr when
   /// reduction is off. Hand it to Scheduler::setReduction().
-  Reduction *reduction() { return RedEnabled ? &Red : nullptr; }
+  Reduction *reduction() { return Red ? &*Red : nullptr; }
 
 private:
   Options Opts;
   Summary Sum;
   DecisionTree Tree;
-  Reduction Red;
-  bool RedEnabled = false;
-  /// Whether a donated/advanced alternative is skippable without running
-  /// it. Position/tag/alternative identify the decision; returns which
-  /// counter to bump (or None). Used by endExecution's advance loop and by
+  /// Present exactly in exhaustive source-set mode.
+  std::optional<Reduction> Red;
+  /// Whether alternative \p Alt of the decision at \p Pos is skippable
+  /// without running it. Used by endExecution's advance loop and by
   /// split()/drainFrontier() donation filtering — both must agree with the
   /// serial skip decision for cross-worker fingerprint parity.
-  enum class SkipKind { None, Source, RfDup };
-  SkipKind skipKindAt(size_t Pos, const char *Tag, unsigned Alt) const;
-  /// Adds \p N skipped alternatives of kind \p SK to the summary.
-  void countSkipped(SkipKind SK, uint64_t N);
+  bool skippableAt(size_t Pos, unsigned Alt) const;
   /// Removes skip-marked prefixes from a donation batch, counting them into
   /// this (the donor's) summary — a recipient would otherwise burn an
   /// execution on a subtree serial exploration skips without one. KeepLast
@@ -354,7 +342,6 @@ private:
   /// positions are overwritten with identically recomputed masks (they are
   /// pure functions of the decision prefix).
   std::vector<uint64_t> SkipMasks;
-  uint64_t PendingSkipMask = 0;
   /// Random-mode decision log (the DFS tree is unused in random mode, but
   /// failures must still be replayable — see currentDecisions()).
   std::vector<DecisionTree::Decision> RandTrace;

@@ -55,15 +55,12 @@ public:
   }
   // Every ChoiceSource entry point must forward, or the facade silently
   // changes semantics: the base-class chooseLimited fallback would erase
-  // the source-set restriction (full-arity enumeration), and a swallowed
-  // skippable mask would disable reads-from caching and start every fresh
-  // sched node at alternative 0 — all only for worker explorers, breaking
-  // worker-count determinism.
+  // the source-set restriction (full-arity enumeration) only for worker
+  // explorers, breaking worker-count determinism.
   unsigned chooseLimited(unsigned Count, unsigned Limit,
                          const char *Tag) override {
     return Cur->chooseLimited(Count, Limit, Tag);
   }
-  void noteSkippable(uint64_t Mask) override { Cur->noteSkippable(Mask); }
   size_t decisionPosition() const override {
     return Cur->decisionPosition();
   }

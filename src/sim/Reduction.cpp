@@ -1,4 +1,4 @@
-//===-- sim/Reduction.cpp - Sleep-set / source-set POR --------------------===//
+//===-- sim/Reduction.cpp - Source-set POR --------------------------------===//
 
 #include "sim/Reduction.h"
 
@@ -14,6 +14,7 @@ void Reduction::beginExecution() {
   Cur.clear();
   NumPoints = 0; // Points are recycled in order; their vectors keep
                  // capacity across executions.
+  PruneMask = 0;
 }
 
 const SleepMove *Reduction::findAsleep(unsigned Tid) const {
@@ -29,11 +30,9 @@ Reduction::Verdict Reduction::verdictFor(const SleepMove *E,
                                          uint32_t HistLen) const {
   if (!E)
     return Verdict::Run;
-  if (!SourceMode)
-    return Verdict::Prune;
-  // Source mode. A sleeping move was kept asleep only through exact
-  // commutes (classic independence, or reads that grow no history) plus —
-  // for reads/updates — same-location writes covered by the watermark
+  // A sleeping move was kept asleep only through exact commutes (classic
+  // independence, or reads that grow no history) plus — for reads/updates
+  // — same-location writes covered by the watermark
   // (rmc::sourceKeepsAsleep). A sleeping write's delays are therefore all
   // exact commutes back to the explored sibling: full prune. A sleeping
   // read/update is fully covered exactly when no message was appended to
@@ -73,9 +72,9 @@ void Reduction::insertMove(std::vector<SleepMove> &S, unsigned Tid,
   S.insert(S.begin() + I, SleepMove{Tid, Fp, Ver});
 }
 
-uint64_t Reduction::onSchedPoint(const std::vector<unsigned> &Enabled,
-                                 const std::vector<rmc::Footprint> &Fps,
-                                 const std::vector<uint32_t> &HistLens) {
+void Reduction::onSchedPoint(const std::vector<unsigned> &Enabled,
+                             const std::vector<rmc::Footprint> &Fps,
+                             const std::vector<uint32_t> &HistLens) {
   assert(Enabled.size() == Fps.size() && Enabled.size() == HistLens.size());
   // Record the point so split()-time annotation can reconstruct the sleep
   // state of any alternative at it, and so commitPick() finds the moves.
@@ -86,10 +85,7 @@ uint64_t Reduction::onSchedPoint(const std::vector<unsigned> &Enabled,
   Pt.Alts.clear();
   Pt.Verdicts.clear();
   for (size_t I = 0, E = Enabled.size(); I != E; ++I)
-    Pt.Alts.push_back(
-        SleepMove{Enabled[I], Fps[I], SourceMode ? HistLens[I] : 0});
-  if (!SourceMode)
-    return 0;
+    Pt.Alts.push_back(SleepMove{Enabled[I], Fps[I], HistLens[I]});
 
   // Per-alternative verdicts, against the *entry* sleep set. Both the sleep
   // set and the history lengths at this point are pure functions of the
@@ -97,14 +93,13 @@ uint64_t Reduction::onSchedPoint(const std::vector<unsigned> &Enabled,
   // equals the verdict any execution choosing A here receives — which is
   // what lets the explorer start a fresh node past Prune-marked
   // alternatives and skip Prune-marked siblings without running them.
-  uint64_t PruneMask = 0;
+  PruneMask = 0;
   for (size_t I = 0, E = Enabled.size(); I != E; ++I) {
     const Verdict V = verdictFor(findAsleep(Enabled[I]), HistLens[I]);
     Pt.Verdicts.push_back(V);
     if (V == Verdict::Prune && I < 64)
       PruneMask |= uint64_t{1} << I;
   }
-  return PruneMask;
 }
 
 Reduction::Verdict Reduction::commitPick(unsigned Pick) {
@@ -113,16 +108,11 @@ Reduction::Verdict Reduction::commitPick(unsigned Pick) {
   const SchedPoint &Pt = Points[Ord];
   assert(Pick < Pt.Alts.size());
 
-  Verdict PickV;
-  const SleepMove *Asleep = findAsleep(Pt.Alts[Pick].Tid);
-  if (SourceMode) {
-    PickV = Pt.Verdicts[Pick];
-    if (PickV == Verdict::Restricted) {
-      RestrictL = Asleep->Fp.L;
-      RestrictVer = Asleep->Ver;
-    }
-  } else {
-    PickV = Asleep ? Verdict::Prune : Verdict::Run;
+  const Verdict PickV = Pt.Verdicts[Pick];
+  if (PickV == Verdict::Restricted) {
+    const SleepMove *Asleep = findAsleep(Pt.Alts[Pick].Tid);
+    RestrictL = Asleep->Fp.L;
+    RestrictVer = Asleep->Ver;
   }
 
   // DFS order: alternatives j < Pick were fully explored in sibling
@@ -154,18 +144,12 @@ Reduction::Verdict Reduction::onSchedule(unsigned Tid, uint32_t HistLen) {
 void Reduction::onStepExecuted(unsigned Tid, const rmc::Footprint &F) {
   // Wake (erase) every sleeping move the keep-asleep relation cannot hold.
   // The executing thread's own entry is always dropped: consecutive steps
-  // of one thread are program-ordered and never commute. In sleep mode the
-  // scheduler never executes a sleeping move (it prunes instead); in source
-  // mode it deliberately does, for restricted re-runs.
+  // of one thread are program-ordered and never commute. The scheduler
+  // executes a sleeping move only for a restricted re-run.
   size_t Out = 0;
   for (size_t I = 0, E = Cur.size(); I != E; ++I) {
     const SleepMove &Mv = Cur[I];
-    assert((SourceMode || Mv.Tid != Tid) &&
-           "scheduler executed a sleeping move");
-    const bool Keep = Mv.Tid != Tid && (SourceMode
-                                            ? rmc::sourceKeepsAsleep(F, Mv.Fp)
-                                            : rmc::independent(F, Mv.Fp));
-    if (Keep) {
+    if (Mv.Tid != Tid && rmc::sourceKeepsAsleep(F, Mv.Fp)) {
       if (Out != I)
         Cur[Out] = Mv;
       ++Out;

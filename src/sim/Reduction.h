@@ -1,25 +1,26 @@
-//===-- sim/Reduction.h - Sleep-set / source-set POR ------------*- C++ -*-===//
+//===-- sim/Reduction.h - Source-set POR ------------------------*- C++ -*-===//
 //
 // Part of compass-cxx. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Partial-order reduction over the scheduler's thread-choice points,
-/// specialized to the view-based RMC machine. Two modes share one state
-/// machine (DESIGN.md Sections 8 and 12):
+/// Source-set partial-order reduction over the scheduler's thread-choice
+/// points, specialized to the view-based RMC machine (DESIGN.md Sections 8
+/// and 12).
 ///
-/// *Sleep sets* [Godefroid]: after the explorer finishes the branch that
-/// schedules thread t at a choice point, the sibling branches need not
-/// re-explore interleavings that merely *delay* t past steps independent of
-/// t's pending operation — swapping adjacent independent steps yields the
-/// identical machine state. When the DFS takes alternative `Pick` at a
-/// `sched` choice point, every alternative j < Pick (already fully explored
-/// in sibling branches, in DFS order) is put to *sleep*. A sleeping move
-/// wakes as soon as any executed step is dependent on it; if the scheduler
-/// is about to run a move that is still asleep, the branch is pruned.
+/// The skeleton is sleep sets [Godefroid]: after the explorer finishes the
+/// branch that schedules thread t at a choice point, the sibling branches
+/// need not re-explore interleavings that merely *delay* t past steps
+/// independent of t's pending operation — swapping adjacent independent
+/// steps yields the identical machine state. When the DFS takes alternative
+/// `Pick` at a `sched` choice point, every alternative j < Pick (already
+/// fully explored in sibling branches, in DFS order) is put to *sleep*. A
+/// sleeping move wakes as soon as any executed step is dependent on it; if
+/// the scheduler is about to run a move that is still asleep, the branch
+/// is pruned.
 ///
-/// *Source sets* (the default): the same bookkeeping with three upgrades.
+/// Source sets upgrade that skeleton three ways.
 /// (1) A refined wake relation (rmc::sourceKeepsAsleep): same-location
 /// atomic non-SC read/write pairs keep each other asleep, because the
 /// commutation is exact for reads-from choices below the sleeping move's
@@ -30,15 +31,14 @@
 /// reads-from options; the stale ones commute back to the explored sibling
 /// (Scheduler reports an execution whose restricted option set came up
 /// empty as RunResult::RfPruned). (3) Every sched point computes its per-
-/// alternative verdicts *before* the pick; the scheduler announces the
-/// Prune-marked ones (ChoiceSource::noteSkippable) so the explorer creates
+/// alternative verdicts *before* the pick; the explorer takes the
+/// Prune-marked ones (takePruneMask) so it creates
 /// a fresh node at its first live alternative and discards fully-covered
 /// sibling subtrees at advance time, without burning an execution on
 /// either (Summary::SourcePruned).
 ///
 /// Only `sched`-tagged decisions participate; read-from and CAS-outcome
-/// choice points are never pruned by this layer (the explorer's duplicate-
-/// rf cache handles those; see ChoiceSource::noteSkippable). All state is
+/// choice points are never pruned by this layer. All state is
 /// recomputed online from the decision path on every execution (it is a
 /// pure function of the path), so replayed prefixes — including seeded
 /// prefixes adopted from another worker — deterministically reconstruct
@@ -56,11 +56,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace compass::sim {
 
-/// Online sleep-set / source-set state for one explorer (one worker); see
+/// Online source-set state for one explorer (one worker); see
 /// file comment. All containers are watermarked/recycled so steady-state
 /// executions do not allocate.
 class Reduction {
@@ -73,30 +74,29 @@ public:
                ///< with the reads-from floor restrictLoc()/restrictVer().
   };
 
-  /// Switches between plain sleep sets (off) and source sets (on). Must be
-  /// set before the first execution and never changed mid-exploration.
-  void enableSourceSets(bool On) { SourceMode = On; }
-  bool sourceSets() const { return SourceMode; }
-
   /// Clears the per-execution state; call before each execution.
   void beginExecution();
 
   /// First half of the hook for a real `sched` choice (arity > 1, not
   /// preemption-forced), called *before* the pick: records the choice
-  /// point and its per-alternative verdicts against the entry sleep set.
-  /// Returns the Prune-marked alternatives as a bitmask (bit k: alternative
-  /// k, first 64 only); always 0 in sleep mode, which keeps its stubs.
+  /// point and its per-alternative verdicts against the entry sleep set,
+  /// and holds the Prune-marked alternatives for takePruneMask().
   ///
   /// \p Enabled are the schedulable threads, \p Fps their pending-operation
   /// footprints, \p HistLens the current history length of each pending
   /// footprint's location (parallel arrays).
-  uint64_t onSchedPoint(const std::vector<unsigned> &Enabled,
-                        const std::vector<rmc::Footprint> &Fps,
-                        const std::vector<uint32_t> &HistLens);
+  void onSchedPoint(const std::vector<unsigned> &Enabled,
+                    const std::vector<rmc::Footprint> &Fps,
+                    const std::vector<uint32_t> &HistLens);
+
+  /// The Prune-marked alternatives of the sched point onSchedPoint() just
+  /// recorded (bit k: alternative k, first 64 only), for the explorer's
+  /// choice at that point; clears them, so every other choice reads 0.
+  uint64_t takePruneMask() { return std::exchange(PruneMask, 0); }
 
   /// Second half: commits the alternative \p Pick chosen at the point just
   /// recorded by onSchedPoint(). Puts alternatives j < Pick to sleep
-  /// (with their history watermarks in source mode), validates against the
+  /// (with their history watermarks), validates against the
   /// donated seed snapshot when this is the seeded ordinal, and returns the
   /// verdict for the picked move.
   Verdict commitPick(unsigned Pick);
@@ -113,10 +113,9 @@ public:
   uint32_t restrictVer() const { return RestrictVer; }
 
   /// Hook after a machine step by \p Tid with executed footprint \p F:
-  /// wakes every sleeping move the refinement cannot keep asleep (classic
-  /// independence in sleep mode, rmc::sourceKeepsAsleep in source mode; the
-  /// stepping thread's own entry is always dropped — consecutive steps of
-  /// one thread never commute).
+  /// wakes every sleeping move rmc::sourceKeepsAsleep cannot keep asleep
+  /// (the stepping thread's own entry is always dropped — consecutive steps
+  /// of one thread never commute).
   void onStepExecuted(unsigned Tid, const rmc::Footprint &F);
 
   /// Installs the donor's sleep snapshot for a seeded (donated) prefix:
@@ -179,17 +178,17 @@ private:
   struct SchedPoint {
     std::vector<SleepMove> Entry;   ///< Sleep set before this point's adds.
     std::vector<SleepMove> Alts;    ///< Enabled moves, in choice order.
-    std::vector<Verdict> Verdicts;  ///< Per alternative (source mode).
+    std::vector<Verdict> Verdicts;  ///< Per alternative.
   };
 
   std::vector<SleepMove> Cur;     ///< Current sleep set, sorted by Tid.
   std::vector<SchedPoint> Points; ///< [0, NumPoints) valid this execution.
   size_t NumPoints = 0;
+  uint64_t PruneMask = 0; ///< Held for takePruneMask().
 
   std::vector<SleepMove> Seed; ///< Donor snapshot (sorted by Tid).
   size_t SeedOrdinal = 0;
   bool HasSeed = false;
-  bool SourceMode = false;
 
   rmc::Loc RestrictL = 0;    ///< Floor location of the last Restricted.
   uint32_t RestrictVer = 0;  ///< Floor watermark of the last Restricted.

@@ -95,11 +95,6 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
     if (!Threads[I]->Started)
       fatalError("scheduler run() with an unstarted thread");
 
-  // Reads-from duplicate detection rides on source-set reduction only; the
-  // masks are pure functions of the decision prefix, so enabling is a
-  // per-mode constant, re-asserted here for machines shared across modes.
-  M.enableDupDetect(Red && Red->sourceSets());
-
   for (;;) {
     if (M.raceDetected())
       return RunResult::Race;
@@ -193,9 +188,7 @@ Scheduler::RunResult Scheduler::run(uint64_t MaxSteps) {
             EnabledFps.push_back(Threads[Tid]->NextFp);
             EnabledHist.push_back(HistOf(EnabledFps.back()));
           }
-          if (uint64_t Covered =
-                  Red->onSchedPoint(Enabled, EnabledFps, EnabledHist))
-            Choices.noteSkippable(Covered);
+          Red->onSchedPoint(Enabled, EnabledFps, EnabledHist);
         }
         Pick = Choices.choose(static_cast<unsigned>(Enabled.size()),
                               "sched");

@@ -51,22 +51,6 @@ public:
   /// so the copy-on-write engine can mark decision boundaries; sources with
   /// no such notion return 0.
   virtual size_t decisionPosition() const { return 0; }
-
-  /// Announces, for the *next* choose() call, which alternatives are
-  /// already covered and need not be explored (bit k: alternative k).
-  /// Two producers, both pure functions of the decision prefix:
-  ///  - the machine, at load/CAS choices, marks reads-from duplicates of
-  ///    the immediate predecessor (alternative k reads a message with the
-  ///    same value and knowledge as alternative k-1, timestamp-adjacent and
-  ///    strictly below the modification-order maximum, so the two
-  ///    post-states canonicalize to the same execution-state fingerprint);
-  ///  - the scheduler, at sched choices, marks the alternatives the
-  ///    source-set reduction prunes (sim/Reduction.h).
-  /// The explorer's source-set mode starts a fresh node at its first
-  /// unmarked alternative and skips marked siblings when it backtracks
-  /// (Summary::SourcePruned for sched, Summary::CacheHits otherwise).
-  /// Default: ignore.
-  virtual void noteSkippable(uint64_t Mask) { (void)Mask; }
 };
 
 /// A trivial source that always picks alternative 0 (the newest message, the

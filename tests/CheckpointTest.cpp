@@ -108,36 +108,13 @@ ExploreResult interruptAt(Workload W, uint64_t InterruptAt,
 // Snapshot text round-trips
 //===----------------------------------------------------------------------===//
 
-TEST(SnapshotFormat, RoundTripsInterruptedExploration) {
-  // Interrupt a real exploration (with sleep reduction so prefixes carry
-  // sleep snapshots) and round-trip the resulting snapshot.
-  auto R = interruptAt(msQueueWorkload(2, ReductionMode::SleepSet), 400);
-  ASSERT_TRUE(R.Interrupted);
-  ASSERT_FALSE(R.Snapshot.empty());
-
-  std::string Text = serializeSnapshot(R.Snapshot);
-  ExplorationSnapshot Back;
-  std::string Err;
-  ASSERT_TRUE(parseSnapshot(Text, Back, Err)) << Err;
-
-  EXPECT_TRUE(Back.Partial.coreEquals(R.Snapshot.Partial))
-      << "saved:  " << R.Snapshot.Partial.str()
-      << "\nparsed: " << Back.Partial.str();
-  ASSERT_EQ(Back.Frontier.size(), R.Snapshot.Frontier.size());
-  for (size_t I = 0; I != Back.Frontier.size(); ++I)
-    EXPECT_TRUE(prefixEquals(Back.Frontier[I], R.Snapshot.Frontier[I]))
-        << "frontier prefix " << I;
-
-  // Serialization is deterministic: a second round trip is bit-identical.
-  EXPECT_EQ(serializeSnapshot(Back), Text);
-}
-
 TEST(SnapshotFormat, RoundTripsSourceModeState) {
-  // Source-set snapshots carry the per-sleeper Atomic flag and reads-from
-  // watermark plus the three source-set counters ("snapshot v2" fields) —
-  // all of it must survive the text round trip bit-exactly. The tripwire
-  // sits halfway through the uninterrupted run, so it fires whatever the
-  // reduction's execution count is.
+  // Interrupt a real reduced exploration, so prefixes carry sleep
+  // snapshots with the per-sleeper Atomic flag and reads-from watermark,
+  // and the summary carries the source-set counters — all of it must
+  // survive the text round trip bit-exactly. The tripwire sits halfway
+  // through the uninterrupted run, so it fires whatever the reduction's
+  // execution count is.
   Explorer::Summary Full =
       explore(msQueueWorkload(2, ReductionMode::SourceSet));
   auto R = interruptAt(msQueueWorkload(2, ReductionMode::SourceSet),
@@ -159,74 +136,6 @@ TEST(SnapshotFormat, RoundTripsSourceModeState) {
     EXPECT_TRUE(prefixEquals(Back.Frontier[I], R.Snapshot.Frontier[I]))
         << "frontier prefix " << I;
   EXPECT_EQ(serializeSnapshot(Back), Text);
-}
-
-TEST(SnapshotFormat, AcceptsV1Snapshots) {
-  // Pre-source-set checkpoints on disk must keep resuming: downgrade a
-  // sleep-mode snapshot to the v1 grammar (no source counters, 4-field
-  // sleep records) and parse it. Sleep mode never *consults* the missing
-  // fields (the Atomic flag and rf watermark only drive source-set
-  // refinement), so the downgrade is lossless for resume purposes.
-  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SleepSet), 200);
-  ASSERT_TRUE(R.Interrupted);
-  std::string V2 = serializeSnapshot(R.Snapshot);
-
-  std::string V1;
-  std::istringstream In(V2);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line == "snapshot v2") {
-      Line = "snapshot v1";
-    } else if (Line.rfind("summary ", 0) == 0) {
-      // Drop fields 8-10 (RfPruned SourcePruned CacheHits) of 14.
-      std::istringstream F(Line.substr(8));
-      std::vector<std::string> W;
-      for (std::string T; F >> T;)
-        W.push_back(T);
-      ASSERT_EQ(W.size(), 14u) << Line;
-      W.erase(W.begin() + 7, W.begin() + 10);
-      Line = "summary";
-      for (const std::string &T : W)
-        Line += " " + T;
-    } else if (Line.rfind("s ", 0) == 0) {
-      // Drop the trailing <Atomic> <Ver> pair.
-      size_t E = Line.find_last_of(' ');
-      ASSERT_NE(E, std::string::npos);
-      E = Line.find_last_of(' ', E - 1);
-      ASSERT_NE(E, std::string::npos);
-      Line.resize(E);
-    }
-    V1 += Line + "\n";
-  }
-
-  ExplorationSnapshot Back;
-  std::string Err;
-  ASSERT_TRUE(parseSnapshot(V1, Back, Err)) << Err;
-  EXPECT_TRUE(Back.Partial.coreEquals(R.Snapshot.Partial))
-      << "saved:  " << R.Snapshot.Partial.str()
-      << "\nparsed: " << Back.Partial.str();
-  ASSERT_EQ(Back.Frontier.size(), R.Snapshot.Frontier.size());
-  // Footprint equality deliberately ignores the Atomic flag (stale
-  // snapshots remain comparable), so the stripped sleep records still
-  // match move-for-move.
-  for (size_t I = 0; I != Back.Frontier.size(); ++I)
-    EXPECT_TRUE(prefixEquals(Back.Frontier[I], R.Snapshot.Frontier[I]))
-        << "frontier prefix " << I;
-  // Re-serialization upgrades to the v2 header (the dropped Atomic flags
-  // are gone for good, which sleep-mode resume never notices).
-  EXPECT_EQ(serializeSnapshot(Back).rfind("snapshot v2", 0), 0u);
-
-  // The v1-parsed snapshot must actually resume to the uninterrupted
-  // reference core.
-  std::string Err2;
-  ASSERT_TRUE(parseSnapshot(V1, Back, Err2)) << Err2;
-  ExploreControl Run;
-  auto Done = exploreResumable(msQueueWorkload(1, ReductionMode::SleepSet),
-                               Run, &Back);
-  EXPECT_FALSE(Done.Interrupted);
-  auto Ref = explore(msQueueWorkload(1, ReductionMode::SleepSet));
-  EXPECT_TRUE(Done.Sum.coreEquals(Ref))
-      << "reference: " << Ref.str() << "\nresumed:   " << Done.Sum.str();
 }
 
 TEST(SnapshotFormat, RoundTripsViolationState) {
@@ -266,20 +175,38 @@ TEST(SnapshotFormat, RejectsMalformedInput) {
   Bad("");
   Bad("snapshot v2\nend snapshot\n");
   Bad("not a snapshot at all");
-  Bad("snapshot v1\n"); // truncated: no summary, no footer
 
   // A valid snapshot, then corrupted one line at a time.
-  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SleepSet), 200);
+  Explorer::Summary Full =
+      explore(msQueueWorkload(1, ReductionMode::SourceSet));
+  auto R = interruptAt(msQueueWorkload(1, ReductionMode::SourceSet),
+                       Full.Executions / 2);
   ASSERT_TRUE(R.Interrupted);
   std::string Good = serializeSnapshot(R.Snapshot);
   ASSERT_TRUE(parseSnapshot(Good, Out, Err)) << Err;
   Bad(Good.substr(0, Good.size() / 2));            // torn mid-file
-  Bad("snapshot v1\ngarbage here\n" + Good);       // wrong record kind
+  Bad("snapshot v2\ngarbage here\n" + Good);       // wrong record kind
+  // The retired v1 header (sleep-mode runs) is rejected even over a
+  // well-formed body.
+  Bad("snapshot v1\n" + Good.substr(Good.find('\n') + 1));
   std::string Neg = Good;
   size_t P = Neg.find("\nd ");
   ASSERT_NE(P, std::string::npos);
   Neg.replace(P, 3, "\nd -"); // negative decision field
   Bad(Neg);
+  // A negative 64-bit counter must fail, not wrap to 2^64-1.
+  Neg = Good;
+  P = Neg.find("\nsummary ");
+  ASSERT_NE(P, std::string::npos);
+  Neg.insert(P + 9, "-");
+  Bad(Neg);
+  // A tag that starts with a NUL byte must fail: it would be written back
+  // as an empty token the parser cannot read.
+  std::string Nul = Good;
+  P = Nul.find("\ntag ");
+  ASSERT_NE(P, std::string::npos);
+  Nul.insert(P + 5, 1, '\0');
+  Bad(Nul);
 }
 
 TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
@@ -329,6 +256,11 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
   ASSERT_NE(P, std::string::npos);
   Wrong.replace(P, 6, "libs 0"); // empty library list
   BadCk(Wrong);
+  Wrong = Text;
+  P = Wrong.find("\nconfig ");
+  ASSERT_NE(P, std::string::npos);
+  Wrong.insert(P + 8, "-"); // negative seed: must fail, not wrap
+  BadCk(Wrong);
   // A config line without the reduction/engine words (the pre-fix grammar)
   // must be rejected, not silently defaulted.
   Wrong = Text;
@@ -343,12 +275,11 @@ TEST(SweepCheckpointFormat, RoundTripsAndRejectsMalformed) {
 TEST(SweepCheckpointFormat, RecordsReductionModeAndEnginePath) {
   using namespace compass::check;
 
-  // Regression: the checkpoint writer used to serialize every non-sleep
-  // mode as "none", so a source-set sweep silently resumed unreduced (and
+  // Regression: the checkpoint writer used to serialize a source-set
+  // sweep as "none", so it silently resumed unreduced (and
   // fingerprint-diverged). The config line must round-trip the exact mode
   // and engine path the executed share ran under.
-  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet,
-                            ReductionMode::SourceSet}) {
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet}) {
     SweepOptions O;
     O.Seed = 5;
     O.ScenariosPerLib = 2;
@@ -429,14 +360,6 @@ TEST(ResumeExactness, WorkerCountChangesAcrossSegments) {
   expectResumeExact(ReductionMode::None, 4, 1);
 }
 
-TEST(ResumeExactness, SleepReductionSerial) {
-  expectResumeExact(ReductionMode::SleepSet, 1, 2);
-}
-
-TEST(ResumeExactness, SleepReductionParallel) {
-  expectResumeExact(ReductionMode::SleepSet, 2, 4);
-}
-
 TEST(ResumeExactness, SourceReductionSerial) {
   expectResumeExact(ReductionMode::SourceSet, 1, 2);
 }
@@ -449,9 +372,8 @@ TEST(ResumeExactness, ManySegmentsStillExact) {
   // Interrupt every ~sixth of the tree until done, rotating worker
   // counts; the chained segments must still land on the uninterrupted
   // core. Source sets stress the donated-prefix snapshot validation the
-  // hardest (every hop re-seeds sleep state, watermarks, and dup masks).
-  for (const ReductionMode Red :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet}) {
+  // hardest (every hop re-seeds sleep state and watermarks).
+  const ReductionMode Red = ReductionMode::SourceSet;
   auto Ref = explore(msQueueWorkload(1, Red));
   ASSERT_TRUE(Ref.Exhausted);
   const uint64_t Stride = std::max<uint64_t>(Ref.Executions / 6, 25);
@@ -480,7 +402,6 @@ TEST(ResumeExactness, ManySegmentsStillExact) {
   EXPECT_GE(Segments, 3u) << "tree too small to test multi-segment resume";
   EXPECT_TRUE(Final.coreEquals(Ref))
       << "reference: " << Ref.str() << "\nchained:   " << Final.str();
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -429,31 +429,22 @@ void expectLexMinStop(Workload (*Make)(unsigned, ReductionMode),
 } // namespace
 
 TEST(ParallelCounterexample, StopOnViolationIsLexMinAcrossWorkers) {
-  expectLexMinStop(
-      +[](unsigned W, ReductionMode R) {
-        Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
-        Wl.options().Reduction = R;
-        return Wl;
-      },
-      ReductionMode::None, "MP relaxed, no reduction");
-}
-
-TEST(ParallelCounterexample, StopOnViolationIsLexMinUnderSleepReduction) {
-  // Same guarantee with sleep-set reduction enabled: the reduced tree is
+  // With and without the source-set reduction: the reduced tree is
   // deterministic, so its lex-min violating sequence is too.
-  expectLexMinStop(
-      +[](unsigned W, ReductionMode R) {
-        Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
-        Wl.options().Reduction = R;
-        return Wl;
-      },
-      ReductionMode::SleepSet, "MP relaxed, sleep reduction");
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
+    expectLexMinStop(
+        +[](unsigned W, ReductionMode R) {
+          Workload Wl = mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed);
+          Wl.options().Reduction = R;
+          return Wl;
+        },
+        Red, reductionModeName(Red));
 }
 
 TEST(ParallelCounterexample, StopOnViolationIsLexMinOnMutatedConformance) {
   // A violation-dense conformance workload (mutated Treiber stack) under
-  // the harness's default sleep reduction — the configuration long sweeps
-  // actually run with.
+  // the harness's default source-set reduction — the configuration long
+  // sweeps actually run with.
   expectLexMinStop(
       +[](unsigned W, ReductionMode R) {
         Workload Wl = conformanceWorkload(
@@ -462,7 +453,7 @@ TEST(ParallelCounterexample, StopOnViolationIsLexMinOnMutatedConformance) {
         Wl.options().Reduction = R;
         return Wl;
       },
-      ReductionMode::SleepSet, "treiber mutant, sleep reduction");
+      ReductionMode::SourceSet, "treiber mutant, source reduction");
 }
 
 //===----------------------------------------------------------------------===//

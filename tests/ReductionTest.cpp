@@ -2,23 +2,23 @@
 //
 // The partial-order reductions (sim/Reduction.h, DESIGN.md §8/§12) must be
 // pure state-space optimizations: they may skip executions, never
-// verdicts. The suite checks all three modes (none / sleep / source), at
+// verdicts. The suite checks both modes (none, the oracle, and source) at
 // three layers:
 //
 //  * accounting — the reduction counters are zero under Reduction::None,
-//    positive on contended workloads under SleepSet/SourceSet, and the
-//    execution counters always reconcile (Executions == Completed +
-//    Deadlocks + Races + Diverged + Pruned + SleepPruned + RfPruned;
-//    SourcePruned and CacheHits count skips that never burn an execution);
+//    positive on contended workloads under SourceSet, and the execution
+//    counters always reconcile (Executions == Completed + Deadlocks +
+//    Races + Diverged + Pruned + SleepPruned + RfPruned; SourcePruned
+//    counts skips that never burn an execution);
 //  * soundness — reduced exploration still reaches the weak-behavior
 //    violations of the MP litmus, and for every shrunk counterexample in
-//    tests/corpus/ all three hunts report the identical violation verdict
+//    tests/corpus/ both hunts report the identical violation verdict
 //    (rule + culprit library), while corpus decision traces keep replaying
 //    to a failing verdict (replay never prunes);
 //  * determinism — reduced summaries (coreEquals) and the reduced sweep
 //    fingerprint are bit-identical across 1/2/4 workers and across the
 //    copy-on-write / root-replay engine paths, extending the ParallelTest
-//    determinism suite to both reduction modes.
+//    determinism suite to the reduced mode.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,16 +49,14 @@ using namespace compass::sim;
 namespace {
 
 /// Counter identity every summary must satisfy: each execution ends in
-/// exactly one of these bins. SourcePruned and CacheHits are deliberately
-/// absent — they count alternatives skipped *without* starting an
-/// execution, so they must never leak into the execution total.
+/// exactly one of these bins. SourcePruned is deliberately absent — it
+/// counts alternatives skipped *without* starting an execution, so it must
+/// never leak into the execution total.
 void expectReconciled(const Explorer::Summary &S, const char *Name) {
   EXPECT_EQ(S.Executions, S.Completed + S.Deadlocks + S.Races + S.Diverged +
                               S.Pruned + S.SleepPruned + S.RfPruned)
       << Name << ": " << S.str();
 }
-
-const char *modeName(ReductionMode R) { return sim::reductionModeName(R); }
 
 //===----------------------------------------------------------------------===//
 // Workloads (reduction-aware Check: pruned runs are not violations)
@@ -181,7 +179,7 @@ Task<void> ebrPopOnce(Env &E, lib::TreiberStackEbr &S) {
 }
 
 /// An EBR-reclaiming stack under contention: the pin/retire/advance ghost
-/// steps (Reclaim/Free footprints) must stay sound under the sleep-set
+/// steps (Reclaim/Free footprints) must stay sound under the source-set
 /// reduction — a mis-declared independence would make the summary
 /// worker-count dependent or lose a reclamation fault.
 Workload ebrStackWorkload(unsigned Workers, ReductionMode Red) {
@@ -245,64 +243,25 @@ check::CorpusEntry parseFileOrFail(const std::filesystem::path &P) {
 // Accounting
 //===----------------------------------------------------------------------===//
 
-TEST(ReductionAccounting, NoSleepPrunesUnderReductionNone) {
-  for (auto Make : {+[](ReductionMode R) { return msQueueWorkload(1, R); },
-                    +[](ReductionMode R) {
-                      return mpWorkload(1, MemOrder::Relaxed,
-                                        MemOrder::Relaxed, R);
-                    }}) {
-    auto Sum = explore(Make(ReductionMode::None));
-    EXPECT_EQ(Sum.SleepPruned, 0u) << Sum.str();
-    EXPECT_EQ(Sum.RfPruned, 0u) << Sum.str();
-    EXPECT_EQ(Sum.SourcePruned, 0u) << Sum.str();
-    EXPECT_EQ(Sum.CacheHits, 0u) << Sum.str();
-    expectReconciled(Sum, "unreduced");
-  }
-}
-
-TEST(ReductionAccounting, SleepSetLeavesSourceCountersZero) {
-  // Sleep mode must not engage any of the source-set machinery.
-  auto Sum = explore(msQueueWorkload(1, ReductionMode::SleepSet));
-  EXPECT_EQ(Sum.RfPruned, 0u) << Sum.str();
-  EXPECT_EQ(Sum.SourcePruned, 0u) << Sum.str();
-  EXPECT_EQ(Sum.CacheHits, 0u) << Sum.str();
-  expectReconciled(Sum, "sleep");
-}
-
-TEST(ReductionAccounting, SleepSetPrunesAndReconciles) {
-  auto Un = explore(msQueueWorkload(1, ReductionMode::None));
-  auto Red = explore(msQueueWorkload(1, ReductionMode::SleepSet));
-  expectReconciled(Un, "unreduced");
-  expectReconciled(Red, "reduced");
-  EXPECT_GT(Red.SleepPruned, 0u) << Red.str();
-  // Pruned stubs are cheap (they stop at the first sleeping step), so the
-  // reduced run performs strictly fewer executions overall *and* strictly
-  // fewer full (completed) ones.
-  EXPECT_LT(Red.Executions, Un.Executions);
-  EXPECT_LT(Red.Completed, Un.Completed);
-  EXPECT_TRUE(Red.Exhausted);
-  EXPECT_TRUE(Un.Exhausted);
-  // Both runs agree there is nothing to report.
-  EXPECT_EQ(Red.Violations, 0u) << Red.str();
-  EXPECT_EQ(Un.Violations, 0u) << Un.str();
-}
-
 TEST(ReductionAccounting, SourceSetPrunesAndReconciles) {
-  auto Sleep = explore(msQueueWorkload(1, ReductionMode::SleepSet));
+  auto Un = explore(msQueueWorkload(1, ReductionMode::None));
   auto Src = explore(msQueueWorkload(1, ReductionMode::SourceSet));
-  expectReconciled(Sleep, "sleep");
+  expectReconciled(Un, "unreduced");
   expectReconciled(Src, "source");
+  // The reduction actually fired...
+  EXPECT_GT(Src.SleepPruned, 0u) << Src.str();
+  EXPECT_GT(Src.SourcePruned, 0u) << Src.str();
+  // ...and, pruned stubs being cheap (they stop at the first sleeping
+  // step), the reduced run performs strictly fewer executions overall
+  // *and* strictly fewer full (completed) ones.
+  EXPECT_LT(Src.Executions, Un.Executions)
+      << "none: " << Un.str() << "\nsource: " << Src.str();
+  EXPECT_LT(Src.Completed, Un.Completed);
   EXPECT_TRUE(Src.Exhausted);
-  // The source-set machinery actually fired...
-  EXPECT_GT(Src.SourcePruned + Src.RfPruned + Src.CacheHits, 0u)
-      << Src.str();
-  // ...and the mode does strictly less execution work than sleep sets on
-  // this contended workload (the headline claim of DESIGN.md §12).
-  EXPECT_LT(Src.Executions, Sleep.Executions)
-      << "sleep: " << Sleep.str() << "\nsource: " << Src.str();
-  // Verdict-equivalent: both clean, both exhaustive.
+  EXPECT_TRUE(Un.Exhausted);
+  // Verdict-equivalent: both clean.
   EXPECT_EQ(Src.Violations, 0u) << Src.str();
-  EXPECT_EQ(Sleep.Violations, 0u) << Sleep.str();
+  EXPECT_EQ(Un.Violations, 0u) << Un.str();
 }
 
 TEST(ReductionAccounting, FreshSchedNodesStartPastPrunedAlternatives) {
@@ -363,9 +322,8 @@ TEST(ReductionAccounting, FreshSchedNodesStartPastPrunedAlternatives) {
     }
 }
 
-TEST(ReductionAccounting, ThreeModesReconcileOnEveryWorkload) {
-  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet,
-                            ReductionMode::SourceSet}) {
+TEST(ReductionAccounting, BothModesReconcileOnEveryWorkload) {
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet}) {
     for (auto Make :
          {+[](ReductionMode R) { return msQueueWorkload(1, R); },
           +[](ReductionMode R) {
@@ -373,8 +331,14 @@ TEST(ReductionAccounting, ThreeModesReconcileOnEveryWorkload) {
           },
           +[](ReductionMode R) { return ebrStackWorkload(1, R); }}) {
       auto Sum = explore(Make(Red));
-      expectReconciled(Sum, modeName(Red));
-      EXPECT_TRUE(Sum.Exhausted) << modeName(Red) << ": " << Sum.str();
+      const char *Name = reductionModeName(Red);
+      expectReconciled(Sum, Name);
+      EXPECT_TRUE(Sum.Exhausted) << Name << ": " << Sum.str();
+      if (Red == ReductionMode::None) { // Unreduced: nothing pruned.
+        EXPECT_EQ(Sum.SleepPruned + Sum.RfPruned + Sum.SourcePruned, 0u)
+            << Sum.str();
+      }
+      EXPECT_EQ(Sum.CacheHits, 0u) << Name << ": " << Sum.str();
     }
   }
 }
@@ -383,7 +347,7 @@ TEST(ReductionAccounting, RandomModeIgnoresReductionRequest) {
   Explorer::Options Opts;
   Opts.ExploreMode = Explorer::Mode::Random;
   Opts.RandomRuns = 50;
-  Opts.Reduction = ReductionMode::SleepSet;
+  Opts.Reduction = ReductionMode::SourceSet;
   Workload W(Opts, [](Machine &M, Scheduler &S) {
     Loc X = M.alloc("x");
     Env &E0 = S.newThread();
@@ -402,35 +366,27 @@ TEST(ReductionSoundness, WeakMpViolationsSurviveReduction) {
   auto Un = explore(mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed,
                                ReductionMode::None));
   ASSERT_TRUE(Un.HasViolation);
-  for (ReductionMode Mode :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet}) {
-    auto Red = explore(
-        mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed, Mode));
-    ASSERT_TRUE(Red.HasViolation)
-        << modeName(Mode)
-        << " pruned every stale-data execution: " << Red.str();
-    EXPECT_GT(Red.Violations, 0u);
+  auto Red = explore(mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed,
+                                ReductionMode::SourceSet));
+  ASSERT_TRUE(Red.HasViolation)
+      << "source sets pruned every stale-data execution: " << Red.str();
+  EXPECT_GT(Red.Violations, 0u);
 
-    // The surfaced reduced trace replays (unreduced, as replay always is)
-    // to the same failing check.
-    Workload W = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed,
-                            ReductionMode::None);
-    ReplayResult RR = replay(W, Red.firstViolationDecisions());
-    EXPECT_EQ(RR.Run, Scheduler::RunResult::Done) << modeName(Mode);
-    EXPECT_FALSE(RR.CheckOk)
-        << modeName(Mode) << " counterexample must reproduce";
-    EXPECT_FALSE(RR.Diverged) << modeName(Mode);
-  }
+  // The surfaced reduced trace replays (unreduced, as replay always is)
+  // to the same failing check.
+  Workload W = mpWorkload(1, MemOrder::Relaxed, MemOrder::Relaxed,
+                          ReductionMode::None);
+  ReplayResult RR = replay(W, Red.firstViolationDecisions());
+  EXPECT_EQ(RR.Run, Scheduler::RunResult::Done);
+  EXPECT_FALSE(RR.CheckOk) << "counterexample must reproduce";
+  EXPECT_FALSE(RR.Diverged);
 }
 
 TEST(ReductionSoundness, CleanMpStaysCleanUnderReduction) {
-  for (ReductionMode Mode :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet}) {
-    auto Red = explore(
-        mpWorkload(1, MemOrder::Release, MemOrder::Acquire, Mode));
-    EXPECT_EQ(Red.Violations, 0u) << modeName(Mode) << ": " << Red.str();
-    EXPECT_TRUE(Red.Exhausted) << modeName(Mode);
-  }
+  auto Red = explore(mpWorkload(1, MemOrder::Release, MemOrder::Acquire,
+                                ReductionMode::SourceSet));
+  EXPECT_EQ(Red.Violations, 0u) << Red.str();
+  EXPECT_TRUE(Red.Exhausted);
 }
 
 TEST(ReductionSoundness, CorpusMutantsReportIdenticalVerdicts) {
@@ -456,18 +412,12 @@ TEST(ReductionSoundness, CorpusMutantsReportIdenticalVerdicts) {
       return true;
     };
 
-    std::string UnRule, SleepRule, SrcRule;
+    std::string UnRule, SrcRule;
     ASSERT_TRUE(ruleFor(ReductionMode::None, UnRule))
         << P.filename() << ": unreduced hunt lost the violation";
-    ASSERT_TRUE(ruleFor(ReductionMode::SleepSet, SleepRule))
-        << P.filename() << ": sleep-set hunt lost the violation "
-        << "(library " << check::libName(E.S.L) << ")";
     ASSERT_TRUE(ruleFor(ReductionMode::SourceSet, SrcRule))
         << P.filename() << ": source-set hunt lost the violation "
         << "(library " << check::libName(E.S.L) << ")";
-    EXPECT_EQ(UnRule, SleepRule)
-        << P.filename() << ": verdict rule diverged under sleep sets for "
-        << check::libName(E.S.L);
     EXPECT_EQ(UnRule, SrcRule)
         << P.filename() << ": verdict rule diverged under source sets for "
         << check::libName(E.S.L);
@@ -478,16 +428,15 @@ TEST(ReductionSoundness, CorpusTracesReplayUnderReductionDefaults) {
   // diagnoseTrace goes through sim::replay, which never prunes — corpus
   // decision traces stay valid replays no matter the configured mode
   // (including the source-set default).
-  for (ReductionMode Mode :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet})
-    for (const auto &P : corpusFiles()) {
-      check::CorpusEntry E = parseFileOrFail(P);
-      check::TraceDiagnosis D = check::diagnoseTrace(
-          E.S, E.Mut, check::scenarioOptions(E.S, 1, 1, Mode), E.Decisions);
-      EXPECT_TRUE(D.failing())
-          << P.filename() << " (" << modeName(Mode)
-          << "): corpus trace no longer fails; " << D.V.str();
-    }
+  for (const auto &P : corpusFiles()) {
+    check::CorpusEntry E = parseFileOrFail(P);
+    check::TraceDiagnosis D = check::diagnoseTrace(
+        E.S, E.Mut,
+        check::scenarioOptions(E.S, 1, 1, ReductionMode::SourceSet),
+        E.Decisions);
+    EXPECT_TRUE(D.failing())
+        << P.filename() << ": corpus trace no longer fails; " << D.V.str();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -503,13 +452,11 @@ void expectReducedDeterministic(Workload (*Make)(unsigned, ReductionMode),
   auto S4 = explore(Make(4, Red));
   expectReconciled(S1, Name);
   // coreEquals covers all reduction counters (SleepPruned, RfPruned,
-  // SourcePruned, CacheHits); the explicit checks give readable failures.
+  // SourcePruned); the explicit checks give readable failures.
   EXPECT_EQ(S1.SleepPruned, S2.SleepPruned) << Name;
   EXPECT_EQ(S1.SleepPruned, S4.SleepPruned) << Name;
   EXPECT_EQ(S1.SourcePruned, S2.SourcePruned) << Name;
   EXPECT_EQ(S1.SourcePruned, S4.SourcePruned) << Name;
-  EXPECT_EQ(S1.CacheHits, S2.CacheHits) << Name;
-  EXPECT_EQ(S1.CacheHits, S4.CacheHits) << Name;
   EXPECT_TRUE(S1.coreEquals(S2))
       << Name << "\nserial:   " << S1.str() << "\n2-worker: " << S2.str();
   EXPECT_TRUE(S1.coreEquals(S4))
@@ -521,9 +468,6 @@ void expectReducedDeterministic(Workload (*Make)(unsigned, ReductionMode),
 TEST(ReductionDeterminism, ReducedMsQueueAcrossWorkers) {
   expectReducedDeterministic(
       +[](unsigned W, ReductionMode R) { return msQueueWorkload(W, R); },
-      ReductionMode::SleepSet, "MS queue sleep");
-  expectReducedDeterministic(
-      +[](unsigned W, ReductionMode R) { return msQueueWorkload(W, R); },
       ReductionMode::SourceSet, "MS queue source");
 }
 
@@ -531,33 +475,17 @@ TEST(ReductionDeterminism, ReducedMpLitmusAcrossWorkers) {
   auto Make = +[](unsigned W, ReductionMode R) {
     return mpWorkload(W, MemOrder::Relaxed, MemOrder::Relaxed, R);
   };
-  expectReducedDeterministic(Make, ReductionMode::SleepSet, "MP rlx sleep");
   expectReducedDeterministic(Make, ReductionMode::SourceSet,
                              "MP rlx source");
 }
 
-TEST(ReductionDeterminism, SourceEbrStackAcrossWorkers) {
+TEST(ReductionDeterminism, ReducedEbrStackAcrossWorkers) {
   // The reclamation workload's ghost steps (Reclaim/Free footprints) must
-  // stay sound under source sets too: summary core bit-identical at 1/2/4
-  // workers, no faults, no violations.
+  // stay sound under source sets: summary core (including SleepPruned and
+  // Races) bit-identical at 1/2/4 workers, no faults, no violations...
   auto S1 = explore(ebrStackWorkload(1, ReductionMode::SourceSet));
   auto S2 = explore(ebrStackWorkload(2, ReductionMode::SourceSet));
   auto S4 = explore(ebrStackWorkload(4, ReductionMode::SourceSet));
-  expectReconciled(S1, "EBR stack source");
-  EXPECT_EQ(S1.Races, 0u) << "pristine EBR stack faulted: " << S1.str();
-  EXPECT_EQ(S1.Violations, 0u) << S1.str();
-  EXPECT_TRUE(S1.coreEquals(S2))
-      << "serial:   " << S1.str() << "\n2-worker: " << S2.str();
-  EXPECT_TRUE(S1.coreEquals(S4))
-      << "serial:   " << S1.str() << "\n4-worker: " << S4.str();
-}
-
-TEST(ReductionDeterminism, ReducedEbrStackAcrossWorkers) {
-  // Summary core (including SleepPruned and Races) bit-identical at
-  // 1/2/4 workers on the reclamation workload...
-  auto S1 = explore(ebrStackWorkload(1, ReductionMode::SleepSet));
-  auto S2 = explore(ebrStackWorkload(2, ReductionMode::SleepSet));
-  auto S4 = explore(ebrStackWorkload(4, ReductionMode::SleepSet));
   expectReconciled(S1, "EBR stack reduced");
   EXPECT_EQ(S1.Races, 0u) << "pristine EBR stack faulted: " << S1.str();
   EXPECT_EQ(S1.Violations, 0u) << S1.str();
@@ -575,7 +503,7 @@ TEST(ReductionDeterminism, ReducedEbrStackAcrossWorkers) {
     O.ScenariosPerLib = 4;
     O.Workers = Workers;
     O.MaxExecutionsPerScenario = 40000;
-    O.Reduction = ReductionMode::SleepSet;
+    O.Reduction = ReductionMode::SourceSet;
     O.Libs = {check::Lib::TreiberEbr};
     return check::runSweep(O);
   };
@@ -601,36 +529,23 @@ TEST(ReductionDeterminism, ReducedSweepFingerprintAcrossWorkers) {
               check::Lib::SpscRing, check::Lib::WsDeque};
     return check::runSweep(O);
   };
-  for (ReductionMode Red :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet}) {
-    check::SweepReport R1 = Run(1, Red);
-    check::SweepReport R2 = Run(2, Red);
-    check::SweepReport R4 = Run(4, Red);
-    EXPECT_TRUE(R1.clean()) << modeName(Red) << ":\n" << R1.str();
-    EXPECT_EQ(R1.fingerprint(), R2.fingerprint())
-        << modeName(Red) << " serial:\n"
-        << R1.str() << "2 workers:\n"
-        << R2.str();
-    EXPECT_EQ(R1.fingerprint(), R4.fingerprint())
-        << modeName(Red) << " serial:\n"
-        << R1.str() << "4 workers:\n"
-        << R4.str();
-  }
+  check::SweepReport R1 = Run(1, ReductionMode::SourceSet);
+  check::SweepReport R2 = Run(2, ReductionMode::SourceSet);
+  check::SweepReport R4 = Run(4, ReductionMode::SourceSet);
+  EXPECT_TRUE(R1.clean()) << R1.str();
+  EXPECT_EQ(R1.fingerprint(), R2.fingerprint())
+      << "serial:\n" << R1.str() << "2 workers:\n" << R2.str();
+  EXPECT_EQ(R1.fingerprint(), R4.fingerprint())
+      << "serial:\n" << R1.str() << "4 workers:\n" << R4.str();
 
-  // Each reduced sweep does strictly less work than the unreduced one on
+  // The reduced sweep does strictly less work than the unreduced one on
   // the same scenarios, and the modes' fingerprints intentionally differ
   // (they fold different execution counts).
   check::SweepReport Un = Run(1, ReductionMode::None);
-  check::SweepReport Sl = Run(1, ReductionMode::SleepSet);
-  check::SweepReport Sr = Run(1, ReductionMode::SourceSet);
   EXPECT_TRUE(Un.clean()) << Un.str();
-  EXPECT_LT(Sl.totalExecutions(), Un.totalExecutions());
-  EXPECT_LT(Sr.totalExecutions(), Sl.totalExecutions())
-      << "source sets did not beat sleep sets:\nsleep:\n"
-      << Sl.str() << "source:\n"
-      << Sr.str();
-  EXPECT_NE(Sl.fingerprint(), Un.fingerprint());
-  EXPECT_NE(Sr.fingerprint(), Sl.fingerprint());
+  EXPECT_LT(R1.totalExecutions(), Un.totalExecutions())
+      << "none:\n" << Un.str() << "source:\n" << R1.str();
+  EXPECT_NE(R1.fingerprint(), Un.fingerprint());
 }
 
 //===----------------------------------------------------------------------===//
@@ -649,19 +564,18 @@ Explorer::Summary exploreWithEngine(Workload W, EnginePath E) {
 TEST(ReductionEngineAB, MsQueueCowEqualsRootReplayAcrossWorkersAndModes) {
   // The copy-on-write engine must be invisible to the reduction: summary
   // cores (including every reduction counter) bit-identical to root
-  // replay under all three reduction modes at 1/2/4 workers.
-  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SleepSet,
-                            ReductionMode::SourceSet})
+  // replay under both reduction modes at 1/2/4 workers.
+  for (ReductionMode Red : {ReductionMode::None, ReductionMode::SourceSet})
     for (unsigned Wk : {1u, 2u, 4u}) {
       Explorer::Summary Root = exploreWithEngine(msQueueWorkload(Wk, Red),
                                                  EnginePath::RootReplay);
       Explorer::Summary Cow =
           exploreWithEngine(msQueueWorkload(Wk, Red), EnginePath::Auto);
       EXPECT_GT(Cow.Perf.CowResumes, 0u)
-          << "red=" << modeName(Red) << " workers=" << Wk
+          << "red=" << reductionModeName(Red) << " workers=" << Wk
           << ": cow path never engaged";
       EXPECT_TRUE(Root.coreEquals(Cow))
-          << "red=" << modeName(Red) << " workers=" << Wk
+          << "red=" << reductionModeName(Red) << " workers=" << Wk
           << "\nroot: " << Root.str() << "\ncow:  " << Cow.str();
       expectReconciled(Cow, "MS queue cow A/B");
     }
@@ -669,23 +583,20 @@ TEST(ReductionEngineAB, MsQueueCowEqualsRootReplayAcrossWorkersAndModes) {
 
 TEST(ReductionEngineAB, ReducedMpViolationsIdenticalAcrossEngines) {
   // Violation-bearing workload: the reduced cow run surfaces the identical
-  // violation set and first violating trace as reduced root replay, under
-  // both reduction modes.
-  for (ReductionMode Red :
-       {ReductionMode::SleepSet, ReductionMode::SourceSet})
-    for (unsigned Wk : {1u, 2u, 4u}) {
-      Explorer::Summary Root = exploreWithEngine(
-          mpWorkload(Wk, MemOrder::Relaxed, MemOrder::Relaxed, Red),
-          EnginePath::RootReplay);
-      Explorer::Summary Cow = exploreWithEngine(
-          mpWorkload(Wk, MemOrder::Relaxed, MemOrder::Relaxed, Red),
-          EnginePath::Auto);
-      ASSERT_TRUE(Root.HasViolation) << modeName(Red);
-      EXPECT_TRUE(Root.coreEquals(Cow))
-          << modeName(Red) << " workers=" << Wk << "\nroot: " << Root.str()
-          << "\ncow:  " << Cow.str();
-      EXPECT_EQ(Root.firstViolationDecisions(),
-                Cow.firstViolationDecisions())
-          << modeName(Red) << " workers=" << Wk;
-    }
+  // violation set and first violating trace as reduced root replay.
+  for (unsigned Wk : {1u, 2u, 4u}) {
+    const ReductionMode Red = ReductionMode::SourceSet;
+    Explorer::Summary Root = exploreWithEngine(
+        mpWorkload(Wk, MemOrder::Relaxed, MemOrder::Relaxed, Red),
+        EnginePath::RootReplay);
+    Explorer::Summary Cow = exploreWithEngine(
+        mpWorkload(Wk, MemOrder::Relaxed, MemOrder::Relaxed, Red),
+        EnginePath::Auto);
+    ASSERT_TRUE(Root.HasViolation);
+    EXPECT_TRUE(Root.coreEquals(Cow))
+        << "workers=" << Wk << "\nroot: " << Root.str()
+        << "\ncow:  " << Cow.str();
+    EXPECT_EQ(Root.firstViolationDecisions(), Cow.firstViolationDecisions())
+        << "workers=" << Wk;
+  }
 }

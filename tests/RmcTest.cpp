@@ -105,7 +105,7 @@ TEST(KnowledgeTest, JoinCombinesBothComponents) {
   EXPECT_EQ(A.Phys.get(1), 2u);
   EXPECT_TRUE(A.Events.contains(10));
   EXPECT_TRUE(A.Events.contains(20));
-  EXPECT_TRUE(B.includedIn(A));
+  EXPECT_TRUE(B.Phys.includedIn(A.Phys) && B.Events.subsetOf(A.Events));
 }
 
 //===----------------------------------------------------------------------===//

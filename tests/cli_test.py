@@ -8,12 +8,15 @@ garbage); valid spellings are accepted. Invoked by ctest as
 `test_cli <path-to-compass_check>`.
 """
 
+import json
 import os
 import subprocess
 import sys
 import tempfile
 
 BIN = None
+REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                      "scripts", "telemetry_report.py")
 failures = []
 
 
@@ -74,12 +77,18 @@ def main():
     expect_usage_error("bad mutation name", "mutants", "--mut",
                        "ebr_skip_grace")
     expect_usage_error("bad reduction", "sweep", "--reduction", "magic")
-    # Only the canonical lowercase spellings none|sleep|source are valid:
+    # Only the canonical lowercase spellings none|source are valid:
     # near-misses must not be silently mapped to a mode.
     expect_usage_error("reduction near-miss sleep-set", "sweep",
                        "--reduction", "sleep-set")
     expect_usage_error("reduction near-miss capitalized", "sweep",
                        "--reduction", "Source")
+    # The sleep-set mode was removed (source sets subsume it); its old
+    # spelling is a usage error, not an alias.
+    expect_usage_error("removed reduction sleep", "sweep",
+                       "--reduction", "sleep")
+    expect_usage_error("mutants removed reduction sleep", "mutants",
+                       "--reduction", "sleep")
     expect_usage_error("bad engine", "sweep", "--engine", "cow")
     expect_usage_error("engine near-miss capitalized", "sweep",
                        "--engine", "Auto")
@@ -113,7 +122,7 @@ def main():
     check("checkpoint-every seconds accepted", p.returncode == 0, p)
 
     # --- reduction / engine mode spellings --------------------------------
-    for mode in ("none", "sleep", "source"):
+    for mode in ("none", "source"):
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
                 "--reduction", mode)
@@ -127,17 +136,57 @@ def main():
                 "--engine", engine)
         check(f"--engine {engine} accepted", p.returncode == 0, p)
 
+    # --- three-valued verdict ---------------------------------------------
+    # A scenario whose tree hits --max-execs was not fully checked: the
+    # sweep must say so instead of calling the run clean. The exit code
+    # stays 0 (no violation was found).
+    trunc = ("sweep", "--seed", "1", "--per-lib", "6", "--lib", "ms_queue",
+             "--max-execs", "2000")
+    p = run(*trunc)
+    check("truncated sweep exits 0", p.returncode == 0, p)
+    check("truncated sweep is reported unverified, not clean",
+          "truncated: unverified)" in p.stdout
+          and "exhaustive" not in p.stdout, p)
+    for name, args, verdict in (
+            ("truncated", trunc, "unverified"),
+            ("exhaustive", ("sweep", "--seed", "3", "--per-lib", "1",
+                            "--lib", "ms_queue"), "clean")):
+        p = run(*args, "--json")
+        rep = json.loads(p.stdout) if p.returncode == 0 else {}
+        truncated = sum(lib["truncated"] for lib in rep.get("libs", []))
+        check(f"{name} sweep json verdict",
+              rep.get("verdict") == verdict
+              and rep.get("truncated") == truncated
+              and (truncated > 0) == (verdict == "unverified"), p)
+
+    # A sweep cut short by its time budget (exit 3) checked only part of
+    # its scenarios: neither run_end nor the report may call it clean.
+    with tempfile.TemporaryDirectory() as td:
+        telem = os.path.join(td, "t.jsonl")
+        p = run("sweep", "--seed", "1", "--per-lib", "20", "--time-budget",
+                "0.2", "--checkpoint", os.path.join(td, "t.ckpt"),
+                "--telemetry", telem)
+        with open(telem) as f:
+            ends = [r for r in map(json.loads, f) if r["kind"] == "run_end"]
+        check("interrupted run_end is unverified, not clean",
+              p.returncode == 3 and len(ends) == 1 and ends[0]["interrupted"]
+              and ends[0]["verdict"] == "unverified", p)
+        rp = subprocess.run([sys.executable, REPORT, telem],
+                            capture_output=True, text=True, timeout=60)
+        check("telemetry report calls the interrupted run unverified",
+              "interrupted (unverified)" in rp.stdout, rp)
+
     # --- resume-mismatch contract -----------------------------------------
     # A checkpoint's executed share is tied to the reduction mode and engine
     # path that produced it. Produce a cadence checkpoint under explicit
-    # --reduction sleep / --engine auto, then resume with a contradicting
+    # --reduction none / --engine auto, then resume with a contradicting
     # mode: exit 2 with a diagnostic naming both modes. Resuming without
     # the flags adopts the recorded modes and completes.
     with tempfile.TemporaryDirectory() as td:
         ckpt = os.path.join(td, "sweep.ckpt")
         p = run("sweep", "--seed", "3", "--per-lib", "1", "--workers", "1",
                 "--max-execs", "2000", "--lib", "ms_queue",
-                "--reduction", "sleep", "--engine", "auto",
+                "--reduction", "none", "--engine", "auto",
                 "--checkpoint", ckpt, "--checkpoint-every", "50")
         check("checkpointed sweep runs", p.returncode == 0, p)
         check("cadence checkpoint written", os.path.exists(ckpt), p)
@@ -148,6 +197,18 @@ def main():
             p = run("sweep", "--resume", ckpt, "--engine", "root")
             check("resume engine mismatch exits 2",
                   p.returncode == 2 and "contradicts" in p.stderr, p)
+            # A checkpoint recorded under the removed sleep mode is
+            # rejected with a clean diagnostic, never resumed as another
+            # mode.
+            with open(ckpt) as f:
+                text = f.read()
+            sleep_ckpt = os.path.join(td, "sleep.ckpt")
+            with open(sleep_ckpt, "w") as f:
+                f.write(text.replace(" none auto\n", " sleep auto\n", 1))
+            p = run("sweep", "--resume", sleep_ckpt)
+            check("sleep-mode checkpoint rejected on resume",
+                  p.returncode == 2
+                  and "unknown reduction 'sleep'" in p.stderr, p)
             p = run("sweep", "--resume", ckpt)
             check("resume without mode flags completes", p.returncode == 0, p)
 
