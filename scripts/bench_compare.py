@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_simulator.json against the committed baseline.
+"""Compare a fresh BENCH_simulator.json or BENCH_interpreter.json against
+the committed baseline.
 
-Matches scaling rows on (workload, workers) and reduction rows on
-(workload, reduction), then compares throughput (execs_per_sec). By
+Matches BENCH_simulator's scaling rows on (workload, workers) and its
+reduction rows on (workload, reduction), and BENCH_interpreter's engine
+rows on (workload, engine, reduction), then compares throughput
+(execs_per_sec). CI gates BENCH_simulator.json only: interpreter rows run
+for milliseconds, too short to gate. By
 default the script only *reports*: regressions beyond the threshold are
 printed as GitHub Actions `::warning::` annotations and the exit code
 stays 0, so a noisy CI runner cannot block a merge. Pass --strict to turn
@@ -13,8 +17,8 @@ Robustness contract (pinned by --self-test):
     fresh run's machine has fewer hardware threads than the row's worker
     count (an oversubscribed run measures scheduler thrash, not the
     engine — its "speedup" is noise by construction);
-  * rows missing a key field (workload/workers/reduction) are reported
-    and skipped, never a KeyError;
+  * rows missing a key field (workload/workers, workload/engine/reduction
+    or workload/reduction) are reported and skipped, never a KeyError;
   * a zero, null, or missing baseline metric reports "no usable
     baseline" and skips the ratio, never a division/TypeError crash;
   * rows present on only one side are reported as "removed" / "new";
@@ -31,8 +35,29 @@ import json
 import sys
 
 
+def row_key(table, row):
+    """The key of one row, or None when it lacks the fields of its kind.
+
+    A `rows` entry is a scaling row when it names its workers and an
+    engine row (BENCH_interpreter) when it names its engine and reduction.
+    """
+    if not isinstance(row, dict) or "workload" not in row:
+        return None
+    workload = str(row["workload"])
+    if table == "reduction_rows":
+        if "reduction" not in row:
+            return None
+        return ("reduction", workload, str(row["reduction"]))
+    if "workers" in row:
+        return ("scaling", workload, str(row["workers"]))
+    if "engine" in row and "reduction" in row:
+        return ("engine", workload,
+                f"{row['engine']}, reduction={row['reduction']}")
+    return None
+
+
 def rows_by_key(report, label="report"):
-    """Maps row-key -> row for both the scaling and reduction tables.
+    """Maps row-key -> row for the scaling, engine and reduction tables.
 
     Malformed rows (not a dict, or missing the fields that make up the
     key) are reported on stdout and skipped instead of raising.
@@ -42,20 +67,20 @@ def rows_by_key(report, label="report"):
         print(f"::warning::bench_compare: {label}: top level is not an "
               "object; treating as empty")
         return out
-    for table, field in (("rows", "workers"), ("reduction_rows", "reduction")):
-        kind = "scaling" if table == "rows" else "reduction"
+    for table, fields in (("rows", "workers or engine/reduction"),
+                          ("reduction_rows", "reduction")):
         rows = report.get(table, [])
         if not isinstance(rows, list):
             print(f"::warning::bench_compare: {label}: '{table}' is not a "
                   "list; skipping table")
             continue
         for i, row in enumerate(rows):
-            if not isinstance(row, dict) or "workload" not in row \
-                    or field not in row:
+            key = row_key(table, row)
+            if key is None:
                 print(f"::warning::bench_compare: {label}: {table}[{i}] "
-                      f"lacks workload/{field}; skipping row")
+                      f"lacks workload/{fields}; skipping row")
                 continue
-            out[(kind, str(row["workload"]), str(row[field]))] = row
+            out[key] = row
     return out
 
 
@@ -71,7 +96,7 @@ def metric(row):
 
 def fmt_key(key):
     kind, workload, variant = key
-    unit = "workers" if kind == "scaling" else "reduction"
+    unit = {"scaling": "workers", "engine": "engine"}.get(kind, "reduction")
     return f"{workload} [{unit}={variant}]"
 
 
@@ -304,6 +329,34 @@ def self_test():
     code, out = run(stamped_false, one_core_base, strict=True)
     check("stamped-false row counts despite 1 thread", code == 1)
 
+    # 10. BENCH_interpreter rows are keyed on (workload, engine,
+    #     reduction): none is skipped, rows differing only in engine or
+    #     reduction stay apart, and a slow row is a regression. (Pre-fix
+    #     every row "lacked workload/workers" and the run reported no
+    #     regressions.)
+    def erow(engine, reduction, eps):
+        return {"workload": "MS queue (E2, pb=2)", "engine": engine,
+                "reduction": reduction, "execs_per_sec": eps}
+    interp = {"hardware_threads": 4,
+              "rows": [erow("root-replay", "none", 1000.0),
+                       erow("cow", "none", 1500.0),
+                       erow("root-replay", "source-set", 2000.0),
+                       erow("cow", "source-set", 2500.0)]}
+    code, out = run(interp, interp, strict=True)
+    check("interpreter rows compared, none skipped",
+          code == 0 and out.count("  ok  ") == 4 and "skipping" not in out)
+    check("interpreter row names engine and reduction",
+          "[engine=cow, reduction=source-set]" in out)
+    interp_slow = {"rows": [erow("root-replay", "none", 1000.0),
+                            erow("cow", "none", 500.0),
+                            erow("root-replay", "source-set", 2000.0),
+                            erow("cow", "source-set", 2500.0)]}
+    code, out = run(interp_slow, interp, strict=True)
+    check("interpreter regression strict-fails", code == 1)
+    check("interpreter regression names its row",
+          "regression: MS queue (E2, pb=2) [engine=cow, reduction=none]"
+          in out)
+
     if failures:
         print(f"\nself-test FAILED: {len(failures)} check(s)")
         return 1
@@ -314,9 +367,10 @@ def self_test():
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("new", nargs="?",
-                    help="freshly generated BENCH_simulator.json")
+                    help="freshly generated BENCH_simulator.json or "
+                    "BENCH_interpreter.json")
     ap.add_argument("baseline", nargs="?",
-                    help="committed baseline BENCH_simulator.json")
+                    help="the committed baseline of the same bench")
     ap.add_argument(
         "--threshold",
         type=float,

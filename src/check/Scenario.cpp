@@ -2,7 +2,8 @@
 
 #include "check/Scenario.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 using namespace compass;
@@ -283,13 +284,16 @@ std::vector<std::string> splitOn(const std::string &S, char Sep) {
   return Out;
 }
 
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(S.c_str(), &End, 10);
-  return End && *End == '\0';
+/// Strict unsigned decimal: digits only (no sign, whitespace or trailer,
+/// which also rules out an embedded NUL), no overflow, at most \p Max.
+bool parseU64(const std::string &S, uint64_t &Out,
+              uint64_t Max = std::numeric_limits<uint64_t>::max()) {
+  const char *End = S.data() + S.size();
+  auto [P, Ec] = std::from_chars(S.data(), End, Out);
+  return Ec == std::errc() && P == End && Out <= Max;
 }
+
+constexpr uint64_t U32Max = std::numeric_limits<unsigned>::max();
 
 } // namespace
 
@@ -332,13 +336,13 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
       }
       Out.S.Seed = U;
     } else if (Key == "pb") {
-      if (!parseU64(Val, U)) {
+      if (!parseU64(Val, U, U32Max)) {
         Err = "bad pb";
         return false;
       }
       Out.S.PreemptionBound = static_cast<unsigned>(U);
     } else if (Key == "cap") {
-      if (!parseU64(Val, U)) {
+      if (!parseU64(Val, U, U32Max)) {
         Err = "bad cap";
         return false;
       }
@@ -354,6 +358,12 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
           Err = "unknown op '" + Name + "'";
           return false;
         }
+        // An argument is written exactly for the ops that carry one.
+        if ((Colon != std::string::npos) != hasArg(O.Code)) {
+          Err = "op '" + Name + "' " +
+                (hasArg(O.Code) ? "needs an argument" : "takes no argument");
+          return false;
+        }
         if (Colon != std::string::npos) {
           if (!parseU64(Tok.substr(Colon + 1), U)) {
             Err = "bad op arg in '" + Tok + "'";
@@ -366,7 +376,7 @@ bool check::parseCorpusEntry(const std::string &Text, CorpusEntry &Out,
       Out.S.Threads.push_back(std::move(Ops));
     } else if (Key == "decisions") {
       for (const std::string &Tok : splitOn(Val, ',')) {
-        if (!parseU64(Tok, U)) {
+        if (!parseU64(Tok, U, U32Max)) {
           Err = "bad decision '" + Tok + "'";
           return false;
         }

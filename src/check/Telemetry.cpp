@@ -92,7 +92,9 @@ void Telemetry::heartbeat(const char *LibName, unsigned ScenarioIndex,
   J.key("sweep");
   J.beginObject();
   J.field("scenarios", Sweep.Scenarios);
-  J.field("executions", Sweep.Executions);
+  // Live: the finished scenarios' executions plus the in-flight one's.
+  // The other counters move at scenario boundaries.
+  J.field("executions", Sweep.Executions + Hb.Executions);
   J.field("completed", Sweep.Completed);
   J.field("races", Sweep.Races);
   J.field("deadlocks", Sweep.Deadlocks);

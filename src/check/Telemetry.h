@@ -20,7 +20,10 @@
 ///                  length, busy workers, donation count, per-worker
 ///                  {execs, donated, frontier, depth}, and the cumulative
 ///                  sweep verdict counters (executions, completed, races,
-///                  deadlocks, violations, sleep_pruned, scenarios).
+///                  deadlocks, violations, sleep_pruned, scenarios). The
+///                  sweep's executions include the in-flight scenario's, so
+///                  they are never below scenario_execs; the other sweep
+///                  counters cover finished scenarios only.
 ///  * violation   — a scenario whose exploration found a property
 ///                  violation: library, scenario index + description,
 ///                  verdict rule, and the replayable decision trace.
@@ -62,7 +65,7 @@ struct SweepProgress {
 };
 
 /// Append-only JSONL sink; see file comment. Thread-safe (heartbeats
-/// arrive from the exploration coordinator thread).
+/// arrive from whichever exploration worker emits them).
 class Telemetry {
 public:
   /// Opens \p Path for appending. ok() is false when the file could not

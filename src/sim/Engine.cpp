@@ -124,32 +124,3 @@ Engine::ExecResult Engine::runOne() {
     Out.CheckOk = Body.Check(M, S, Out.Run);
   return Out;
 }
-
-//===----------------------------------------------------------------------===//
-// Serial driver (declared in Workload.h)
-//===----------------------------------------------------------------------===//
-
-Explorer::Summary compass::sim::exploreSerial(const Workload &W) {
-  Explorer Ex(W.options());
-  Workload::Body Body = W.makeBody();
-  // One machine/scheduler pair serves every execution (the arena pattern;
-  // see rmc::Machine::reset): steady-state replays allocate nothing.
-  rmc::Machine M(Ex);
-  Scheduler S(M, Ex);
-  S.setPreemptionBound(W.options().PreemptionBound);
-  S.setReduction(Ex.reduction());
-  Engine Eng(Ex, M, S, Body);
-  while (Ex.beginExecution()) {
-    Engine::ExecResult R = Eng.runOne();
-    Ex.recordCheck(R.CheckOk);
-    Ex.endExecution(R.Run);
-    if (!R.CheckOk && W.options().StopOnViolation)
-      break;
-  }
-  Explorer::Summary Sum = Ex.summary();
-  Sum.Perf.StepsExecuted = Eng.stepsExecuted();
-  Sum.Perf.StepsLogical = Eng.stepsLogical();
-  Sum.Perf.CowResumes = Eng.cowResumes();
-  Sum.Perf.RootRuns = Eng.rootRuns();
-  return Sum;
-}

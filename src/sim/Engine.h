@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execution engine behind exploreSerial and the parallel workers: it
-/// owns the per-execution state-reset protocol between an Explorer and a
-/// Machine/Scheduler pair (DESIGN.md Section 11).
+/// The execution engine behind every exploration worker (exploreResumable,
+/// sim/ParallelExplorer.h): it owns the per-execution state-reset protocol
+/// between an Explorer and a Machine/Scheduler pair (DESIGN.md Section 11).
 ///
 /// Classic stateless model checking re-executes every explored execution
 /// from the root, so an execution at depth d costs O(d) machine operations
@@ -46,17 +46,10 @@
 namespace compass::sim {
 
 /// Drives executions of one explorer subtree over a Machine/Scheduler
-/// pair; see file comment. The caller owns the begin/record/end explorer
-/// protocol and loops:
-///
-/// \code
-///   Engine Eng(Ex, M, S, Body, Opts);
-///   while (Ex.beginExecution()) {
-///     Engine::ExecResult R = Eng.runOne();
-///     Ex.recordCheck(R.CheckOk);
-///     Ex.endExecution(R.Run);
-///   }
-/// \endcode
+/// pair; see file comment. The caller (the worker loop in
+/// ParallelExplorer.cpp) owns the begin/record/end explorer protocol and
+/// calls runOne() once per execution, between Ex.beginExecution() and
+/// Ex.recordCheck(R.CheckOk) / Ex.endExecution(R.Run).
 class Engine {
 public:
   struct ExecResult {

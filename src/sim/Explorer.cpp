@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 using namespace compass;
@@ -49,8 +48,7 @@ bool sim::parseEnginePath(const std::string &S, EnginePath &Out) {
 }
 
 Explorer::Explorer(Options O)
-    : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()),
-      LastProgress(Start) {
+    : Opts(O), Rand(O.Seed), Start(std::chrono::steady_clock::now()) {
   if (Opts.Reduction == ReductionMode::SourceSet &&
       Opts.ExploreMode == Mode::Exhaustive)
     Red.emplace();
@@ -304,34 +302,14 @@ void Explorer::endExecution(Scheduler::RunResult R) {
     if (!HasWork)
       Sum.Exhausted = true;
   }
-
-  // Perf and Tags are filled where they are read (summary() and the
-  // progress line), not here: this runs once per execution.
-  if (Opts.ProgressIntervalSec > 0) {
-    auto Now = std::chrono::steady_clock::now();
-    double Since =
-        std::chrono::duration<double>(Now - LastProgress).count();
-    if (Since >= Opts.ProgressIntervalSec) {
-      LastProgress = Now;
-      finalizePerf(Now);
-      std::fprintf(stderr,
-                   "[explore] %llu execs, %.0f execs/s, depth<=%llu, "
-                   "frontier~%llu\n",
-                   static_cast<unsigned long long>(Sum.Executions),
-                   Sum.Perf.ExecsPerSec,
-                   static_cast<unsigned long long>(Sum.MaxDepth),
-                   static_cast<unsigned long long>(Tree.frontierSize()));
-    }
-  }
+  // Perf and Tags are filled where they are read (summary()), not here:
+  // this runs once per execution.
 }
 
 const Explorer::Summary &Explorer::summary() {
-  finalizePerf(std::chrono::steady_clock::now());
-  return Sum;
-}
-
-void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
-  double Wall = std::chrono::duration<double>(Now - Start).count();
+  double Wall = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
   Sum.Perf.WallSeconds = Wall;
   Sum.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Sum.Executions) / Wall : 0.0;
@@ -344,6 +322,7 @@ void Explorer::finalizePerf(std::chrono::steady_clock::time_point Now) {
     Dst.AltSum += Stat.AltSum;
     Dst.MaxArity = std::max(Dst.MaxArity, Stat.MaxArity);
   }
+  return Sum;
 }
 
 bool Explorer::skippableAt(size_t Pos, unsigned Alt) const {

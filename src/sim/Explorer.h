@@ -20,14 +20,18 @@
 ///    random sampler) to the ChoiceSource interface the Machine/Scheduler
 ///    consume, and accumulates the Summary (counters, per-tag choice
 ///    statistics, throughput, first-violation trace).
-///  - Workload / explore / replay (Workload.h): a bounded program as a
-///    first-class value, the serial driver, and deterministic single-trace
-///    replay for counterexample reproduction.
-///  - ParallelExplorer (ParallelExplorer.h): N workers over a shared queue
-///    of unexplored subtree prefixes; its Summary's deterministic core is
-///    bit-identical to the serial explorer's regardless of worker count.
+///  - Workload / replay (Workload.h): a bounded program as a first-class
+///    value, the explore() wrappers, and deterministic single-trace replay
+///    for counterexample reproduction.
+///  - exploreResumable (ParallelExplorer.h): the one exploration loop. N
+///    workers (the calling thread is worker 0) over stealable queues of
+///    unexplored subtree prefixes; its Summary's deterministic core is
+///    bit-identical regardless of worker count.
 ///
-/// Usage (manual driving; prefer explore()/Workload for the common case):
+/// Use explore()/Workload to run an exploration; the execution protocol
+/// below (beginExecution / recordCheck / endExecution) is driven by the
+/// worker loop in src/, and by the tests, benches and examples that step an
+/// Explorer by hand:
 /// \code
 ///   Explorer Ex(Opts);
 ///   while (Ex.beginExecution()) {
@@ -106,12 +110,11 @@ public:
     uint64_t Seed = 1;                  ///< Random-mode seed.
     uint64_t MaxStepsPerExec = 100'000; ///< Scheduler step budget.
     unsigned PreemptionBound = ~0u;     ///< Scheduler preemption budget.
-    unsigned Workers = 1;      ///< Worker threads; >1 selects the parallel
-                               ///< explorer in explore(Workload).
+    unsigned Workers = 1; ///< Exploration workers (explore(Workload) and
+                          ///< exploreResumable; exploreSerial uses one).
     bool StopOnViolation = false; ///< Stop at the first failed check. Note:
                                   ///< truncates the run, so counters are no
                                   ///< longer worker-count independent.
-    double ProgressIntervalSec = 0; ///< >0: periodic stderr progress lines.
     /// State-space reduction. Only effective in exhaustive mode; replay
     /// and random sampling always run unreduced. Keep None when an
     /// execution-count baseline (e.g. a pinned fingerprint comparison
@@ -139,9 +142,8 @@ public:
 
   struct Summary {
     // -- Deterministic core -------------------------------------------
-    // Identical for serial and parallel exploration of the same workload
-    // (any worker count), provided the run was not truncated by
-    // StopOnViolation. Compared by coreEquals().
+    // Identical at any worker count for the same workload, provided the
+    // run was not truncated by StopOnViolation. Compared by coreEquals().
     uint64_t Executions = 0; ///< Total runs performed.
     uint64_t Completed = 0;  ///< Runs where all threads finished.
     uint64_t Deadlocks = 0;
@@ -179,7 +181,7 @@ public:
       double WallSeconds = 0;
       double ExecsPerSec = 0;
       uint64_t PeakFrontier = 0; ///< Largest DFS frontier seen (per worker).
-      uint64_t PeakQueue = 0;    ///< Largest shared work queue (parallel).
+      uint64_t PeakQueue = 0;    ///< Largest shared work queue.
       uint64_t Donations = 0;    ///< Prefixes donated between workers.
       unsigned Workers = 1;
       // Copy-on-write engine effectiveness (sim/Engine.h). StepsLogical
@@ -199,8 +201,8 @@ public:
     /// MaxDepth, tag stats, and the first-violation trace).
     bool coreEquals(const Summary &O) const;
 
-    /// Folds \p O's deterministic core into this one (used by the parallel
-    /// explorer to aggregate per-worker summaries).
+    /// Folds \p O's deterministic core into this one (used by the workers
+    /// to aggregate per-subtree and per-worker summaries).
     void mergeCore(const Summary &O);
 
     std::string str() const;
@@ -214,15 +216,16 @@ public:
   Explorer();
 
   /// Constructs a worker explorer that enumerates exactly the subtree below
-  /// \p Seed (see DecisionTree splitting). Used by ParallelExplorer.
+  /// \p Seed (see DecisionTree splitting). Workers re-seed their explorer
+  /// per subtree by assigning one of these.
   Explorer(Options O, DecisionTree::Prefix Seed);
 
   /// Prepares the next execution; false when exploration is finished.
   bool beginExecution();
 
   /// True while beginExecution() would succeed (frontier nonempty and the
-  /// local budget not exhausted). Lets the parallel explorer consult the
-  /// global execution budget before committing to an execution.
+  /// local budget not exhausted). Lets a worker consult the global
+  /// execution budget before committing to an execution.
   bool hasWork() const;
 
   /// Records the outcome of the current execution's property check. Call
@@ -281,7 +284,7 @@ public:
   /// Pretty-prints \p Trace (e.g. a Summary's FirstViolation).
   static std::string formatTrace(const std::vector<DecisionTree::Decision> &Trace);
 
-  // -- Work sharing (ParallelExplorer) --------------------------------
+  // -- Work sharing (exploreResumable) --------------------------------
 
   /// True if split() would donate at least one subtree. Only meaningful
   /// between executions in exhaustive mode.
@@ -367,54 +370,12 @@ private:
   std::vector<PathNode> PathNodes;
   SnapshotHook SnapHook;
   std::chrono::steady_clock::time_point Start;
-  std::chrono::steady_clock::time_point LastProgress;
 
   size_t tagIndex(const char *Tag);
   void pushPathStat(const char *Tag, unsigned Count);
   /// Drops PathNodes entries past the path after advance().
   void trimPathStats();
-  void finalizePerf(std::chrono::steady_clock::time_point Now);
 };
-
-/// Convenience driver: runs \p Setup then the scheduler for every explored
-/// execution, invoking \p Check afterwards. \p Setup receives the fresh
-/// machine and scheduler and must allocate state and start threads;
-/// \p Check receives them after the run together with the run result and
-/// may return void (informational) or bool (false = property violation,
-/// counted in Summary::Violations with the trace captured).
-///
-/// This template remains strictly serial; parallel exploration needs a
-/// Workload with a per-worker body factory (see Workload.h and
-/// ParallelExplorer.h).
-template <typename SetupT, typename CheckT>
-Explorer::Summary explore(Explorer::Options Opts, SetupT Setup,
-                          CheckT Check) {
-  Explorer Ex(Opts);
-  // One machine/scheduler pair serves every execution: reset() rewinds
-  // their logical state while retaining heap storage, so steady-state
-  // replays allocate nothing (the arena pattern; see rmc::Machine::reset).
-  rmc::Machine M(Ex);
-  Scheduler S(M, Ex);
-  S.setPreemptionBound(Opts.PreemptionBound);
-  S.setReduction(Ex.reduction());
-  while (Ex.beginExecution()) {
-    M.reset();
-    S.reset();
-    Setup(M, S);
-    Scheduler::RunResult R = S.run(Opts.MaxStepsPerExec);
-    if constexpr (std::is_same_v<decltype(Check(M, S, R)), bool>) {
-      bool Ok = Check(M, S, R);
-      Ex.recordCheck(Ok);
-      Ex.endExecution(R);
-      if (!Ok && Opts.StopOnViolation)
-        break;
-    } else {
-      Check(M, S, R);
-      Ex.endExecution(R);
-    }
-  }
-  return Ex.summary();
-}
 
 } // namespace compass::sim
 

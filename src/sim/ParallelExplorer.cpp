@@ -1,18 +1,15 @@
-//===-- sim/ParallelExplorer.cpp - Multi-worker DFS exploration -----------===//
+//===-- sim/ParallelExplorer.cpp - The exploration loop -------------------===//
 
 #include "sim/ParallelExplorer.h"
 
 #include "sim/Engine.h"
-#include "support/Choice.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,42 +38,24 @@ bool seqLexLess(const std::vector<unsigned> &A,
                                       B.end());
 }
 
-/// A stable ChoiceSource facade over a worker's *current* Explorer. The
-/// machine and scheduler bind their ChoiceSource by reference once at
-/// construction, but a worker explores many donated subtrees, each with a
-/// fresh Explorer (the decision tree is per-subtree state). The slot lets
-/// one persistent machine/scheduler arena serve them all: each subtree
-/// re-points the slot and the simulation never re-allocates.
-class ChoiceSlot : public ChoiceSource {
-public:
-  void bind(ChoiceSource &S) { Cur = &S; }
-  unsigned choose(unsigned Count, const char *Tag) override {
-    return Cur->choose(Count, Tag);
-  }
-  // Every ChoiceSource entry point must forward, or the facade silently
-  // changes semantics: the base-class chooseLimited fallback would erase
-  // the source-set restriction (full-arity enumeration) only for worker
-  // explorers, breaking worker-count determinism.
-  unsigned chooseLimited(unsigned Count, unsigned Limit,
-                         const char *Tag) override {
-    return Cur->chooseLimited(Count, Limit, Tag);
-  }
-  size_t decisionPosition() const override {
-    return Cur->decisionPosition();
-  }
-
-private:
-  ChoiceSource *Cur = nullptr;
-};
-
-/// Per-worker observability counters, sampled by the coordinator for
-/// heartbeats. Cache-line padded; all accesses relaxed — these are
-/// telemetry, not synchronization.
-struct alignas(64) WorkerStats {
+/// Per-worker progress counters, sampled for heartbeats. Written by the
+/// owning worker only, and only while heartbeats are on; all accesses
+/// relaxed — these are telemetry, not synchronization.
+struct WorkerStats {
   std::atomic<uint64_t> Execs{0};
   std::atomic<uint64_t> Donated{0};
   std::atomic<uint64_t> Frontier{0};
   std::atomic<uint64_t> Depth{0};
+};
+
+/// What one worker accumulates over its subtrees. Cache-line aligned: the
+/// counters are written by the owner while other workers sample them.
+struct alignas(64) WorkerState {
+  Explorer::Summary Sum; ///< Core of every subtree explored, plus steps.
+  uint64_t PeakFrontier = 0;
+  WorkerStats St;
+
+  WorkerState() { Sum.Exhausted = true; } // AND-folded over subtrees
 };
 
 /// One worker's stealable prefix deque. The owner pushes donation batches
@@ -89,18 +68,21 @@ struct alignas(64) WorkerDeque {
   std::deque<DecisionTree::Prefix> Dq;
 };
 
-/// State shared by all workers of one parallel exploration.
+/// State shared by all workers of one exploration.
 ///
 /// Work distribution is decentralized: each worker owns a deque seeded /
 /// refilled by its own donations, and steals from other deques only when
 /// its own is empty. Termination is unit-counted: Outstanding tracks
 /// prefixes that are queued or in progress; the worker that retires the
-/// last unit flips Done.
+/// last unit flips Done. A lone worker has nobody to wait for or wake, so
+/// it never touches Mu: it stops when its deque is empty.
 struct SharedState {
-  std::mutex Mu; ///< Guards Done and the sleep/wake protocol only.
+  const unsigned N; ///< Worker count.
+  std::mutex Mu;    ///< Guards Done and the sleep/wake protocol only.
   std::condition_variable Cv;
   bool Done = false;
 
+  /// Empty when nothing is ever queued: one worker, no resumed frontier.
   std::vector<WorkerDeque> Deques;
   std::atomic<uint64_t> Outstanding{0}; ///< Queued + in-progress prefixes.
   std::atomic<uint64_t> QueuedTotal{0}; ///< Prefixes sitting in deques.
@@ -109,10 +91,9 @@ struct SharedState {
   std::atomic<uint64_t> Donations{0};
 
   /// Global execution budget (Options::MaxExecutions), claimed one ticket
-  /// per execution so the parallel run performs exactly as many executions
-  /// as the serial one would. Seeded with the resumed snapshot's executed
-  /// base so the budget (and InterruptAtExecs) stay global across
-  /// segments.
+  /// per execution so every worker count performs exactly as many
+  /// executions. Seeded with the resumed snapshot's executed base so the
+  /// budget (and InterruptAtExecs) stay global across segments.
   std::atomic<uint64_t> Tickets{0};
 
   /// Cooperative interrupt: workers finish their in-flight execution,
@@ -129,7 +110,8 @@ struct SharedState {
   std::mutex DrainMu;
   std::vector<DecisionTree::Prefix> Drained;
 
-  explicit SharedState(unsigned Workers) : Deques(Workers) {}
+  SharedState(unsigned Workers, bool Queues)
+      : N(Workers), Deques(Queues ? Workers : 0) {}
 
   /// Lowers the shared best violation to \p Seq if it is lex-smaller.
   void offerViolation(std::vector<unsigned> Seq) {
@@ -156,10 +138,23 @@ struct SharedState {
       Drained.push_back(std::move(P));
   }
 
-  /// Appends \p Prefixes to worker \p Wid's deque and wakes sleepers. The
-  /// notify is taken under Mu unconditionally, which makes the sleep/wake
-  /// race-free: a would-be sleeper re-checks QueuedTotal under Mu before
-  /// waiting, so it either sees this batch or receives this notify.
+  /// Wakes every sleeping worker. The notify is taken under Mu, which
+  /// makes the sleep/wake race-free: a would-be sleeper re-checks its
+  /// condition under Mu before waiting, so it either sees the change or
+  /// receives this notify.
+  void wakeAll() {
+    if (N == 1)
+      return;
+    std::lock_guard<std::mutex> L(Mu);
+    Cv.notify_all();
+  }
+
+  void raiseInterrupt() {
+    if (!Interrupt.exchange(true, std::memory_order_relaxed))
+      wakeAll();
+  }
+
+  /// Appends \p Prefixes to worker \p Wid's deque and wakes sleepers.
   void pushBatch(unsigned Wid, std::vector<DecisionTree::Prefix> Prefixes,
                  bool CountAsDonation) {
     if (Prefixes.empty())
@@ -179,16 +174,13 @@ struct SharedState {
       ;
     if (CountAsDonation)
       Donations.fetch_add(K, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Cv.notify_all();
-    }
+    wakeAll();
   }
 
   /// Retires one work unit (finished subtree or discarded prefix); the
   /// last retirement terminates the exploration.
   void retireUnit() {
-    if (Outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (Outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1 && N > 1) {
       std::lock_guard<std::mutex> L(Mu);
       Done = true;
       Cv.notify_all();
@@ -203,9 +195,9 @@ struct SharedState {
   /// are retired on the spot.
   Take tryTakeOne(unsigned Wid, DecisionTree::Prefix &Out,
                   bool StopOnViolation) {
-    unsigned N = static_cast<unsigned>(Deques.size());
-    for (unsigned K = 0; K != N; ++K) {
-      unsigned V = (Wid + K) % N;
+    unsigned NQ = static_cast<unsigned>(Deques.size());
+    for (unsigned K = 0; K != NQ; ++K) {
+      unsigned V = (Wid + K) % NQ;
       WorkerDeque &D = Deques[V];
       {
         std::lock_guard<std::mutex> L(D.Mu);
@@ -244,12 +236,14 @@ struct SharedState {
         if (T == Take::Retry)
           continue;
       }
+      if (N == 1)
+        return false; // nobody else can queue work or finish it
       std::unique_lock<std::mutex> L(Mu);
       if (Done)
         return false;
       if (Interrupt.load(std::memory_order_relaxed)) {
-        // Leave the queued prefixes in place: the coordinator collects
-        // them into the snapshot frontier after the workers exit.
+        // Leave the queued prefixes in place: they are collected into the
+        // snapshot frontier after the workers exit.
         Done = true;
         Cv.notify_all();
         return false;
@@ -267,47 +261,105 @@ struct SharedState {
   }
 };
 
-} // namespace
+double secondsSince(std::chrono::steady_clock::time_point T) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T)
+      .count();
+}
 
-ExploreResult compass::sim::exploreResumable(const Workload &W,
-                                             const ExploreControl &Ctl,
-                                             const ExplorationSnapshot *Resume) {
+/// The one exploration loop: \p N workers, worker 0 on the calling thread.
+ExploreResult runWorkers(const Workload &W, unsigned N,
+                         const ExploreControl &Ctl,
+                         const ExplorationSnapshot *Resume) {
   const Explorer::Options &Opts = W.options();
-  if (Opts.ExploreMode == Explorer::Mode::Random) {
-    // Sampling has no tree to partition or checkpoint.
-    ExploreResult R;
-    R.Sum = exploreSerial(W);
-    return R;
-  }
+  const auto Start = std::chrono::steady_clock::now();
+  const bool Resuming = Resume && !Resume->Frontier.empty();
 
-  unsigned N = std::max(1u, Opts.Workers);
-  auto Start = std::chrono::steady_clock::now();
-
-  SharedState Sh(N);
-  {
-    // Seed the deques round-robin with the initial frontier: the root
-    // prefix, or a resumed snapshot's pinned subtrees.
+  SharedState Sh(N, /*Queues=*/N > 1 || Resuming);
+  if (Resuming) {
+    // Seed the deques round-robin with the snapshot's pinned subtrees.
     std::vector<std::vector<DecisionTree::Prefix>> Seed(N);
-    if (Resume && !Resume->Frontier.empty()) {
-      for (size_t I = 0; I != Resume->Frontier.size(); ++I)
-        Seed[I % N].push_back(Resume->Frontier[I]);
-      Sh.Tickets.store(Resume->Partial.Executions,
-                       std::memory_order_relaxed);
-    } else {
-      Seed[0].push_back(DecisionTree::Prefix{}); // the root subtree
-    }
+    for (size_t I = 0; I != Resume->Frontier.size(); ++I)
+      Seed[I % N].push_back(Resume->Frontier[I]);
     for (unsigned I = 0; I != N; ++I)
       Sh.pushBatch(I, std::move(Seed[I]), /*CountAsDonation=*/false);
+    Sh.Tickets.store(Resume->Partial.Executions, std::memory_order_relaxed);
+  } else {
+    // Worker 0 holds the root subtree from the start; nothing is queued.
+    Sh.Outstanding.store(1, std::memory_order_relaxed);
+    Sh.Busy.store(1, std::memory_order_relaxed);
   }
   if (Resume && Resume->Partial.HasViolation)
     Sh.offerViolation(Resume->Partial.firstViolationDecisions());
 
-  // Per-worker partial summaries, merged in worker order at the end (all
-  // core fields merge commutatively, so the order is immaterial — it just
-  // keeps the aggregation obviously deterministic).
-  std::vector<Explorer::Summary> Partials(N);
-  std::vector<uint64_t> PeakFrontiers(N, 0);
-  std::vector<WorkerStats> Stats(N);
+  // Worker 0's state lives here and the others' in Rest, so a one-worker
+  // exploration allocates nothing for them.
+  WorkerState W0;
+  std::vector<WorkerState> Rest(N - 1);
+  auto StateOf = [&](unsigned I) -> WorkerState & {
+    return I == 0 ? W0 : Rest[I - 1];
+  };
+
+  // Random sampling has no MaxExecutions cap (the explorer stops at
+  // RandomRuns); the workers' explorers leave the cap to the tickets.
+  const uint64_t Budget = Opts.ExploreMode == Explorer::Mode::Random
+                              ? ~0ull
+                              : Opts.MaxExecutions;
+  Explorer::Options WOpts = Opts;
+  WOpts.MaxExecutions = ~0ull;
+
+  // External controls, polled by each worker between executions only when
+  // set; the clock is read only for a deadline or heartbeats.
+  const bool Heartbeats =
+      Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
+  const bool Timed = Ctl.DeadlineSec > 0 || Heartbeats;
+  const bool Poll = Timed || Ctl.StopRequested || Ctl.InterruptAtExecs > 0;
+  // Held while a heartbeat is built and delivered, so callbacks never
+  // overlap; a worker that finds it taken skips instead of waiting.
+  std::mutex HbMu;
+  std::atomic<double> NextHb{Ctl.HeartbeatIntervalSec};
+
+  auto EmitHeartbeat = [&](double Wall) {
+    std::unique_lock<std::mutex> L(HbMu, std::try_to_lock);
+    if (!L.owns_lock() || Wall < NextHb.load(std::memory_order_relaxed))
+      return; // another worker is emitting, or just did
+    NextHb.store(Wall + Ctl.HeartbeatIntervalSec, std::memory_order_relaxed);
+    ExploreHeartbeat Hb;
+    Hb.WallSeconds = Wall;
+    Hb.Executions = std::min<uint64_t>(
+        Sh.Tickets.load(std::memory_order_relaxed), Opts.MaxExecutions);
+    Hb.ExecsPerSec = Wall > 0 ? Hb.Executions / Wall : 0.0;
+    Hb.QueueSize = Sh.QueuedTotal.load(std::memory_order_relaxed);
+    Hb.BusyWorkers = Sh.Busy.load(std::memory_order_relaxed);
+    Hb.Workers = N;
+    Hb.Donations = Sh.Donations.load(std::memory_order_relaxed);
+    Hb.PerWorker.resize(N);
+    for (unsigned I = 0; I != N; ++I) {
+      const WorkerStats &St = StateOf(I).St;
+      Hb.PerWorker[I].Execs = St.Execs.load(std::memory_order_relaxed);
+      Hb.PerWorker[I].Donated = St.Donated.load(std::memory_order_relaxed);
+      Hb.PerWorker[I].Frontier = St.Frontier.load(std::memory_order_relaxed);
+      Hb.PerWorker[I].Depth = St.Depth.load(std::memory_order_relaxed);
+    }
+    Ctl.OnHeartbeat(Hb);
+  };
+
+  auto PollControls = [&] {
+    if (Sh.Interrupt.load(std::memory_order_relaxed))
+      return;
+    bool Trip = (Ctl.InterruptAtExecs > 0 &&
+                 Sh.Tickets.load(std::memory_order_relaxed) >=
+                     Ctl.InterruptAtExecs) ||
+                (Ctl.StopRequested &&
+                 Ctl.StopRequested->load(std::memory_order_relaxed));
+    if (Timed) {
+      const double Wall = secondsSince(Start);
+      Trip = Trip || (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec);
+      if (Heartbeats && Wall >= NextHb.load(std::memory_order_relaxed))
+        EmitHeartbeat(Wall);
+    }
+    if (Trip)
+      Sh.raiseInterrupt();
+  };
 
   // Donation policy: proactive, batched, and gated. A worker refills the
   // shared pool after an execution only when the pool is below the
@@ -320,43 +372,31 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   const uint64_t DonateMinFrontier = 2 * DonateBatch; // size threshold
 
   auto WorkerMain = [&](unsigned Wid) {
+    WorkerState &Me = StateOf(Wid);
     Workload::Body Body = W.makeBody();
-    Explorer::Options WOpts = Opts;
-    WOpts.MaxExecutions = ~0ull; // budget enforced via shared tickets
-    WOpts.ProgressIntervalSec = 0;
 
-    Explorer::Summary &Local = Partials[Wid];
-    Local.Exhausted = true; // AND-folded over the worker's subtrees
-    WorkerStats &St = Stats[Wid];
-
-    // One persistent simulation arena per worker: machine and scheduler
-    // outlive the subtrees (reset() rewinds watermarks without freeing),
-    // so steady-state allocation happens once per worker, not once per
-    // donated prefix — and the per-subtree Engine gives every worker the
-    // same copy-on-write fast path as the serial explorer.
-    ChoiceSlot Choices;
-    rmc::Machine M(Choices);
-    Scheduler S(M, Choices);
+    // One persistent simulation arena per worker: the machine and the
+    // scheduler bind to the worker's one Explorer, which is re-seeded per
+    // subtree by assignment; reset() rewinds their watermarks without
+    // freeing, so steady-state allocation happens once per worker, not
+    // once per donated prefix. Constructed unseeded, it is already the
+    // root subtree's explorer, which worker 0 starts on.
+    Explorer Ex(WOpts);
+    rmc::Machine M(Ex);
+    Scheduler S(M, Ex);
     S.setPreemptionBound(Opts.PreemptionBound);
 
     DecisionTree::Prefix Prefix;
-    while (Sh.acquire(Wid, Prefix, Opts.StopOnViolation)) {
-      Explorer Ex(WOpts, std::move(Prefix));
-      Choices.bind(Ex);
+    bool HoldsRoot = Wid == 0 && !Resuming;
+    while (HoldsRoot || Sh.acquire(Wid, Prefix, Opts.StopOnViolation)) {
+      if (!HoldsRoot)
+        Ex = Explorer(WOpts, std::move(Prefix));
+      HoldsRoot = false;
       S.setReduction(Ex.reduction());
       Engine Eng(Ex, M, S, Body);
       for (;;) {
-        // The execution-count tripwire is checked worker-side (not only in
-        // the coordinator's 50ms poll) so it lands precisely even on trees
-        // that finish faster than a poll interval.
-        if (Ctl.InterruptAtExecs > 0 &&
-            !Sh.Interrupt.load(std::memory_order_relaxed) &&
-            Sh.Tickets.load(std::memory_order_relaxed) >=
-                Ctl.InterruptAtExecs) {
-          Sh.Interrupt.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> L(Sh.Mu);
-          Sh.Cv.notify_all();
-        }
+        if (Poll)
+          PollControls();
         if (Sh.Interrupt.load(std::memory_order_relaxed)) {
           // Cooperative checkpoint: convert this subtree's unexplored
           // remainder into pinned prefixes for the snapshot frontier.
@@ -371,9 +411,8 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         if (!Ex.hasWork())
           break;
         // Claim a budget ticket before committing to the execution so the
-        // global execution count matches the serial explorer's.
-        uint64_t T = Sh.Tickets.fetch_add(1, std::memory_order_relaxed);
-        if (T >= Opts.MaxExecutions)
+        // global execution count is the same at every worker count.
+        if (Sh.Tickets.fetch_add(1, std::memory_order_relaxed) >= Budget)
           break;
         bool Began = Ex.beginExecution();
         (void)Began;
@@ -382,17 +421,18 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         Engine::ExecResult R = Eng.runOne();
         Ex.recordCheck(R.CheckOk);
         Ex.endExecution(R.Run);
-        St.Execs.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t Frontier = Ex.frontierSize();
-        St.Frontier.store(Frontier, std::memory_order_relaxed);
-        St.Depth.store(Ex.currentDepth(), std::memory_order_relaxed);
+        if (Heartbeats) {
+          Me.St.Execs.fetch_add(1, std::memory_order_relaxed);
+          Me.St.Frontier.store(Ex.frontierSize(), std::memory_order_relaxed);
+          Me.St.Depth.store(Ex.currentDepth(), std::memory_order_relaxed);
+        }
         if (!R.CheckOk && Opts.StopOnViolation) {
           // DFS yields each subtree's lex-least violation first, so this
           // subtree is finished; publish the find and let the search
-          // continue only where a lex-smaller violation could hide.
-          Sh.offerViolation(Ex.summary().firstViolationDecisions());
-          std::lock_guard<std::mutex> L(Sh.Mu);
-          Sh.Cv.notify_all();
+          // continue only where a lex-smaller violation could hide. A
+          // lone worker with no queue has nobody to tell.
+          if (!Sh.Deques.empty())
+            Sh.offerViolation(Ex.summary().firstViolationDecisions());
           break;
         }
 
@@ -400,138 +440,58 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
         if (N > 1 &&
             Sh.QueuedTotal.load(std::memory_order_relaxed) <
                 DonateLowWater &&
-            Frontier >= DonateMinFrontier && Ex.splittable()) {
+            Ex.frontierSize() >= DonateMinFrontier && Ex.splittable()) {
           std::vector<DecisionTree::Prefix> Don = Ex.split(DonateBatch);
-          St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
+          Me.St.Donated.fetch_add(Don.size(), std::memory_order_relaxed);
           Sh.pushBatch(Wid, std::move(Don), /*CountAsDonation=*/true);
         }
       }
-      PeakFrontiers[Wid] =
-          std::max(PeakFrontiers[Wid], Ex.summary().Perf.PeakFrontier);
-      Local.mergeCore(Ex.summary()); // AND-folds the subtree's Exhausted bit
-      Local.Perf.StepsExecuted += Eng.stepsExecuted();
-      Local.Perf.StepsLogical += Eng.stepsLogical();
-      Local.Perf.CowResumes += Eng.cowResumes();
-      Local.Perf.RootRuns += Eng.rootRuns();
+      const Explorer::Summary &Sub = Ex.summary();
+      Me.PeakFrontier = std::max(Me.PeakFrontier, Sub.Perf.PeakFrontier);
+      Me.Sum.mergeCore(Sub); // AND-folds the subtree's Exhausted bit
+      Me.Sum.Perf.StepsExecuted += Eng.stepsExecuted();
+      Me.Sum.Perf.StepsLogical += Eng.stepsLogical();
+      Me.Sum.Perf.CowResumes += Eng.cowResumes();
+      Me.Sum.Perf.RootRuns += Eng.rootRuns();
       Sh.finishSubtree();
     }
   };
 
-  std::vector<std::thread> Workers;
-  Workers.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Workers.emplace_back(WorkerMain, I);
-
-  // Coordinator loop: polls the external controls and emits heartbeats /
-  // progress lines until the workers are done.
-  {
-    const bool NeedPoll =
-        Ctl.StopRequested || Ctl.DeadlineSec > 0 || Ctl.InterruptAtExecs > 0;
-    const bool NeedHeartbeat =
-        Ctl.HeartbeatIntervalSec > 0 && static_cast<bool>(Ctl.OnHeartbeat);
-    const bool NeedProgress = Opts.ProgressIntervalSec > 0;
-    double WaitSec = std::numeric_limits<double>::infinity();
-    if (NeedPoll)
-      WaitSec = 0.05;
-    if (NeedHeartbeat)
-      WaitSec = std::min(WaitSec, Ctl.HeartbeatIntervalSec);
-    if (NeedProgress)
-      WaitSec = std::min(WaitSec, Opts.ProgressIntervalSec);
-
-    double LastHeartbeat = 0, LastProgress = 0;
-    std::unique_lock<std::mutex> L(Sh.Mu);
-    while (!Sh.Done) {
-      if (WaitSec == std::numeric_limits<double>::infinity())
-        Sh.Cv.wait(L);
-      else
-        Sh.Cv.wait_for(L, std::chrono::duration<double>(WaitSec));
-      if (Sh.Done)
-        break;
-      double Wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
-      uint64_t Execs = std::min<uint64_t>(
-          Sh.Tickets.load(std::memory_order_relaxed), Opts.MaxExecutions);
-      if (!Sh.Interrupt.load(std::memory_order_relaxed)) {
-        bool Trip =
-            (Ctl.StopRequested &&
-             Ctl.StopRequested->load(std::memory_order_relaxed)) ||
-            (Ctl.DeadlineSec > 0 && Wall >= Ctl.DeadlineSec) ||
-            (Ctl.InterruptAtExecs > 0 && Execs >= Ctl.InterruptAtExecs);
-        if (Trip) {
-          Sh.Interrupt.store(true, std::memory_order_relaxed);
-          Sh.Cv.notify_all();
-        }
-      }
-      if (NeedHeartbeat && Wall - LastHeartbeat >= Ctl.HeartbeatIntervalSec) {
-        LastHeartbeat = Wall;
-        ExploreHeartbeat Hb;
-        Hb.WallSeconds = Wall;
-        Hb.Executions = Execs;
-        Hb.ExecsPerSec = Wall > 0 ? Execs / Wall : 0.0;
-        Hb.QueueSize = Sh.QueuedTotal.load(std::memory_order_relaxed);
-        Hb.BusyWorkers = Sh.Busy.load(std::memory_order_relaxed);
-        Hb.Workers = N;
-        Hb.Donations = Sh.Donations.load(std::memory_order_relaxed);
-        Hb.PerWorker.resize(N);
-        for (unsigned I = 0; I != N; ++I) {
-          Hb.PerWorker[I].Execs =
-              Stats[I].Execs.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Donated =
-              Stats[I].Donated.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Frontier =
-              Stats[I].Frontier.load(std::memory_order_relaxed);
-          Hb.PerWorker[I].Depth =
-              Stats[I].Depth.load(std::memory_order_relaxed);
-        }
-        L.unlock();
-        Ctl.OnHeartbeat(Hb); // user callback runs outside the lock
-        L.lock();
-      }
-      if (NeedProgress && Wall - LastProgress >= Opts.ProgressIntervalSec) {
-        LastProgress = Wall;
-        std::fprintf(
-            stderr,
-            "[explore x%u] ~%llu execs, %.0f execs/s, queue=%llu, "
-            "busy=%u\n",
-            N, static_cast<unsigned long long>(Execs),
-            Wall > 0 ? Execs / Wall : 0.0,
-            static_cast<unsigned long long>(
-                Sh.QueuedTotal.load(std::memory_order_relaxed)),
-            Sh.Busy.load(std::memory_order_relaxed));
-      }
-    }
-  }
-
-  for (std::thread &Th : Workers)
+  // The simulator never throws (support/Error.h), so the joins below are
+  // always reached.
+  std::vector<std::thread> Threads;
+  Threads.reserve(N - 1);
+  for (unsigned I = 1; I != N; ++I)
+    Threads.emplace_back(WorkerMain, I);
+  WorkerMain(0);
+  for (std::thread &Th : Threads)
     Th.join();
 
-  ExploreResult Res;
-
-  Explorer::Summary Agg;
-  Agg.Exhausted = true;
+  // Worker 0's summary becomes the aggregate. Every core field merges
+  // commutatively, so the merge order is immaterial.
+  Explorer::Summary &Agg = W0.Sum;
   if (Resume)
     Agg.mergeCore(Resume->Partial);
-  for (const Explorer::Summary &P : Partials) {
-    Agg.mergeCore(P);
-    Agg.Perf.StepsExecuted += P.Perf.StepsExecuted;
-    Agg.Perf.StepsLogical += P.Perf.StepsLogical;
-    Agg.Perf.CowResumes += P.Perf.CowResumes;
-    Agg.Perf.RootRuns += P.Perf.RootRuns;
+  uint64_t PeakFrontier = W0.PeakFrontier;
+  for (const WorkerState &Ws : Rest) {
+    Agg.mergeCore(Ws.Sum);
+    Agg.Perf.StepsExecuted += Ws.Sum.Perf.StepsExecuted;
+    Agg.Perf.StepsLogical += Ws.Sum.Perf.StepsLogical;
+    Agg.Perf.CowResumes += Ws.Sum.Perf.CowResumes;
+    Agg.Perf.RootRuns += Ws.Sum.Perf.RootRuns;
+    PeakFrontier = std::max(PeakFrontier, Ws.PeakFrontier);
   }
 
-  double Wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  const double Wall = secondsSince(Start);
   Agg.Perf.WallSeconds = Wall;
   Agg.Perf.ExecsPerSec =
       Wall > 0 ? static_cast<double>(Agg.Executions) / Wall : 0.0;
-  for (uint64_t Pf : PeakFrontiers)
-    Agg.Perf.PeakFrontier = std::max(Agg.Perf.PeakFrontier, Pf);
+  Agg.Perf.PeakFrontier = PeakFrontier;
   Agg.Perf.PeakQueue = Sh.PeakQueue.load(std::memory_order_relaxed);
   Agg.Perf.Donations = Sh.Donations.load(std::memory_order_relaxed);
   Agg.Perf.Workers = N;
 
+  ExploreResult Res;
   if (Sh.Interrupt.load(std::memory_order_relaxed)) {
     // Frontier = every worker's drained remainder plus the prefixes still
     // sitting in the deques. Empty means the interrupt raced with natural
@@ -550,13 +510,21 @@ ExploreResult compass::sim::exploreResumable(const Workload &W,
   return Res;
 }
 
-Explorer::Summary ParallelExplorer::run() {
-  return exploreResumable(W, ExploreControl{}).Sum;
+} // namespace
+
+ExploreResult compass::sim::exploreResumable(const Workload &W,
+                                             const ExploreControl &Ctl,
+                                             const ExplorationSnapshot *Resume) {
+  // Sampling has no tree to partition or checkpoint.
+  if (W.options().ExploreMode == Explorer::Mode::Random)
+    return runWorkers(W, 1, ExploreControl{}, nullptr);
+  return runWorkers(W, std::max(1u, W.options().Workers), Ctl, Resume);
+}
+
+Explorer::Summary compass::sim::exploreSerial(const Workload &W) {
+  return runWorkers(W, 1, ExploreControl{}, nullptr).Sum;
 }
 
 Explorer::Summary compass::sim::explore(const Workload &W) {
-  if (W.options().Workers > 1 &&
-      W.options().ExploreMode == Explorer::Mode::Exhaustive)
-    return ParallelExplorer(W).run();
-  return exploreSerial(W);
+  return exploreResumable(W, ExploreControl{}).Sum;
 }

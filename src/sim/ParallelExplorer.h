@@ -1,59 +1,62 @@
-//===-- sim/ParallelExplorer.h - Multi-worker DFS exploration ---*- C++ -*-===//
+//===-- sim/ParallelExplorer.h - The exploration loop ----------*- C++ -*-===//
 //
 // Part of compass-cxx. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel exhaustive exploration: N std::thread workers, each owning a
-/// persistent Machine/Scheduler arena plus a per-subtree Explorer (and
-/// thus a private DecisionTree), fed from per-worker deques of unexplored
-/// subtree prefixes with work stealing.
+/// The exploration loop behind every driver: exploreResumable runs N
+/// workers, each owning one Machine/Scheduler arena, one Explorer that it
+/// re-seeds per subtree (and thus a private DecisionTree), and a stealable
+/// deque of unexplored subtree prefixes. exploreSerial and explore(W) are
+/// thin wrappers over it. The calling thread is worker 0 and only N-1
+/// threads are started, so a one-worker exploration starts none.
 ///
-/// Protocol: worker 0's deque starts with the root (empty) prefix — or,
+/// Protocol: worker 0 starts with the root (empty) prefix in hand — or,
 /// when resuming from a checkpoint (sim/Checkpoint.h), the deques are
 /// seeded round-robin with the snapshot's frontier of pinned prefixes. A
 /// worker takes from the back of its own deque (deepest donation first),
 /// steals from the front of another's when its own is empty (shallowest =
-/// largest subtree), seeds an Explorer with the prefix, and DFS-enumerates
-/// that subtree under the copy-on-write engine (sim/Engine.h) — exactly
-/// the serial explorer's execution path. Donation is proactive, batched,
-/// and gated: after an execution, a worker whose tree still has a healthy
-/// open frontier refills the pool with a batch of its shallowest untried
-/// alternatives (DecisionTree::split) whenever the total queued work drops
-/// below the low-water mark. Termination is unit-counted: the worker that
-/// retires the last queued-or-running prefix ends the exploration.
+/// largest subtree), seeds its Explorer with the prefix, and DFS-enumerates
+/// that subtree under the copy-on-write engine (sim/Engine.h). Donation is
+/// proactive, batched, and gated: after an execution, a worker whose tree
+/// still has a healthy open frontier refills the pool with a batch of its
+/// shallowest untried alternatives (DecisionTree::split) whenever the total
+/// queued work drops below the low-water mark. Termination is unit-counted:
+/// the worker that retires the last queued-or-running prefix ends the
+/// exploration.
 ///
 /// Determinism guarantee: the donated prefixes partition the decision tree,
 /// every decision sequence is enumerated by exactly one worker, and every
 /// Summary field in the deterministic core is a sum / max / AND / lex-min
-/// over executions — so the aggregated Summary core is **bit-identical to
-/// the serial explorer's** for any worker count, and likewise across any
-/// interrupt/resume segmentation (provided the run is not truncated by
-/// StopOnViolation or the execution budget).
+/// over executions — so the aggregated Summary core is **bit-identical for
+/// any worker count**, and likewise across any interrupt/resume
+/// segmentation (provided the run is not truncated by StopOnViolation or
+/// the execution budget).
 ///
 /// StopOnViolation guarantee: the first violation surfaced is the
 /// lexicographically least violating decision sequence — exactly the one
-/// serial DFS finds first, identical at any worker count. Workers share the
-/// best (lex-min) violation found so far; a worker abandons its subtree at
-/// its own first violation (DFS yields each subtree's least first) and the
-/// search continues only where a lex-smaller violation could still hide
-/// (prefixes and pending paths that are lex-below the current best).
+/// one-worker DFS finds first, identical at any worker count. Workers share
+/// the best (lex-min) violation found so far; a worker abandons its subtree
+/// at its own first violation (DFS yields each subtree's least first) and
+/// the search continues only where a lex-smaller violation could still
+/// hide (prefixes and pending paths that are lex-below the current best).
 /// Reproduce the result with replay(W, Summary::firstViolationDecisions()).
 /// The remaining counters are still truncation-dependent.
 ///
 /// The global MaxExecutions budget is enforced with a shared atomic ticket
-/// counter, so the *number* of executions also matches the serial explorer
+/// counter, so the *number* of executions is the same at any worker count
 /// when the budget truncates the search (the particular executions explored
 /// then depend on scheduling, and the remaining counters may differ).
 ///
-/// exploreResumable() adds cooperative interruption on top: an external
-/// stop flag (signal handlers), a wall-clock deadline, and an execution-
-/// count tripwire all make the workers finish their current execution,
-/// convert every unexplored remainder into pinned prefixes
+/// Workers poll ExploreControl between executions. An external stop flag
+/// (signal handlers), a wall-clock deadline, and an execution-count
+/// tripwire all make the workers finish their current execution, convert
+/// every unexplored remainder into pinned prefixes
 /// (Explorer::drainFrontier), and hand back an ExplorationSnapshot that a
 /// later call — at any worker count — resumes to the bit-identical final
-/// summary core.
+/// summary core. Heartbeats are emitted by whichever working worker finds
+/// one due, one at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,9 +74,10 @@
 namespace compass::sim {
 
 /// A point-in-time progress sample of a running exploration, delivered to
-/// ExploreControl::OnHeartbeat from the coordinating thread. Values are
-/// sampled with relaxed loads — approximate by design; only the final
-/// Summary core is exact.
+/// ExploreControl::OnHeartbeat by whichever worker finds one due. Calls
+/// never overlap, and Executions never decreases from one to the next.
+/// Values are sampled with relaxed loads — approximate by design; only the
+/// final Summary core is exact.
 struct ExploreHeartbeat {
   double WallSeconds = 0;  ///< Wall time since this segment started.
   uint64_t Executions = 0; ///< Total executions incl. any resumed base.
@@ -97,8 +101,8 @@ struct ExploreHeartbeat {
 /// default-constructed ExploreControl reproduces plain run() behavior.
 struct ExploreControl {
   /// Cooperative interrupt, typically set from a SIGINT/SIGTERM handler:
-  /// polled ~20x/s by the coordinator; once true, workers finish their
-  /// in-flight execution and drain into the snapshot.
+  /// polled by the workers between executions; once true, workers finish
+  /// their in-flight execution and drain into the snapshot.
   const std::atomic<bool> *StopRequested = nullptr;
 
   /// >0: interrupt once this much wall time (seconds) has elapsed in this
@@ -120,7 +124,7 @@ struct ExploreControl {
 struct ExploreResult {
   /// Aggregated summary. When Interrupted, this is the deterministic core
   /// of the executed share (== Snapshot.Partial); when not, it is the
-  /// final summary, bit-identical to an uninterrupted serial run's core.
+  /// final summary, bit-identical to an uninterrupted run's core.
   Explorer::Summary Sum;
 
   /// True when the segment was cut short by ExploreControl and unexplored
@@ -133,34 +137,16 @@ struct ExploreResult {
   ExplorationSnapshot Snapshot;
 };
 
-/// Explores \p W (exhaustive mode) under W.options().Workers threads with
-/// cooperative interruption. Pass \p Resume to continue a previous
-/// segment's snapshot instead of starting at the root; the final merged
-/// summary core is bit-identical to an uninterrupted run at any worker
-/// count and any interrupt/resume segmentation. Random-mode workloads run
-/// serially and ignore \p Ctl / \p Resume (never interrupted).
+/// Explores \p W (exhaustive mode) with W.options().Workers workers, the
+/// calling thread being worker 0, under cooperative interruption. Pass
+/// \p Resume to continue a previous segment's snapshot instead of starting
+/// at the root; the final merged summary core is bit-identical to an
+/// uninterrupted run at any worker count and any interrupt/resume
+/// segmentation. Random-mode workloads run on one worker and ignore \p Ctl
+/// / \p Resume (never interrupted). exploreSerial and explore(W)
+/// (Workload.h) are wrappers over this call.
 ExploreResult exploreResumable(const Workload &W, const ExploreControl &Ctl,
                                const ExplorationSnapshot *Resume = nullptr);
-
-/// Runs a Workload under N worker threads; see file comment.
-class ParallelExplorer {
-public:
-  /// Worker count comes from W.options().Workers (values < 2 still run the
-  /// full parallel machinery with one worker; prefer exploreSerial then).
-  explicit ParallelExplorer(Workload W) : W(std::move(W)) {}
-
-  /// Explores the workload to completion and returns the aggregated
-  /// summary. Exhaustive mode only (random sampling has no tree to split);
-  /// random-mode workloads are routed to the serial explorer.
-  Explorer::Summary run();
-
-private:
-  Workload W;
-};
-
-/// Runs \p W under the serial explorer, or under ParallelExplorer when
-/// Options::Workers > 1 (exhaustive mode only).
-Explorer::Summary explore(const Workload &W);
 
 } // namespace compass::sim
 

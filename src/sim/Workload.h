@@ -10,8 +10,10 @@
 /// per-execution property check, and the exploration options — into one
 /// re-runnable value. This makes three things first-class:
 ///
-///  - exploreSerial(W) / explore(W): run the workload to completion under
-///    the serial or (Options::Workers > 1) parallel explorer;
+///  - exploreSerial(W) / explore(W): run the workload to completion on one
+///    worker or on Options::Workers workers. Both are thin wrappers over
+///    exploreResumable (ParallelExplorer.h), the one exploration loop, and
+///    so is the closure form explore(Opts, Setup, Check);
 ///  - replay(W, Decisions): deterministically re-execute ONE decision
 ///    sequence — the counterexample-reproduction entry point. Feed it
 ///    Summary::firstViolationDecisions() or Explorer::currentDecisions();
@@ -33,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -210,14 +213,44 @@ inline std::string formatReplayCall(const std::vector<unsigned> &Decisions,
   return Out;
 }
 
-/// Runs \p W to completion under the serial explorer, re-establishing
-/// state between executions through the copy-on-write engine when the
-/// workload is eligible (see Body and sim/Engine.h). Defined in Engine.cpp.
+/// Runs \p W to completion on one worker — the calling thread — whatever
+/// Options::Workers says, re-establishing state between executions through
+/// the copy-on-write engine when the workload is eligible (see Body and
+/// sim/Engine.h). Defined in ParallelExplorer.cpp.
 Explorer::Summary exploreSerial(const Workload &W);
 
-/// Runs \p W under the serial explorer, or under ParallelExplorer when
-/// Options::Workers > 1. Defined in ParallelExplorer.cpp.
+/// Runs \p W on Options::Workers workers (one in random mode). Defined in
+/// ParallelExplorer.cpp.
 Explorer::Summary explore(const Workload &W);
+
+/// Closure form: explores a one-worker Workload whose body runs \p Setup
+/// then the scheduler for every execution, invoking \p Check afterwards.
+/// \p Setup receives the fresh machine and scheduler and must allocate
+/// state and start threads; \p Check receives them after the run together
+/// with the run result and may return void (informational; the execution
+/// passes) or bool (false = property violation, counted in
+/// Summary::Violations with the trace captured). The body is neither
+/// CowSafe nor CowSave, so every execution runs from the root.
+///
+/// Always one worker: the closures may share state without locking.
+template <typename SetupT, typename CheckT>
+Explorer::Summary explore(Explorer::Options Opts, SetupT Setup,
+                          CheckT Check) {
+  Workload::CheckFn CheckBool;
+  if constexpr (std::is_same_v<std::invoke_result_t<CheckT &, rmc::Machine &,
+                                                    Scheduler &,
+                                                    Scheduler::RunResult>,
+                               bool>)
+    CheckBool = std::move(Check);
+  else
+    CheckBool = [Check = std::move(Check)](rmc::Machine &M, Scheduler &S,
+                                           Scheduler::RunResult R) mutable {
+      Check(M, S, R);
+      return true;
+    };
+  return exploreSerial(
+      Workload(Opts, Workload::Body(std::move(Setup), std::move(CheckBool))));
+}
 
 } // namespace compass::sim
 

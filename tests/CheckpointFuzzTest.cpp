@@ -1,9 +1,11 @@
 //===-- tests/CheckpointFuzzTest.cpp - Checkpoint parser fuzzing -----------===//
 //
-// Seeded mutational fuzzing of the two checkpoint parsers: sim
+// Seeded mutational fuzzing of the two checkpoint parsers, sim
 // `snapshot v2` (sim/Checkpoint.cpp) and `compass sweep-checkpoint v1`
-// (check/Checkpoint.cpp). The seed inputs are real checkpoints written by
-// interrupted explorations and sweeps; each is mutated by byte flips,
+// (check/Checkpoint.cpp), and of the corpus-entry parser
+// (check::parseCorpusEntry). The seed inputs are real checkpoints written by
+// interrupted explorations and sweeps, and the committed tests/corpus
+// entries; each is mutated by byte flips,
 // truncations, dropped, duplicated and swapped lines, and numeric fields
 // replaced by huge or negative values. Every mutated input must either be
 // rejected with a non-empty error, or parse to a value whose serialization
@@ -21,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -175,4 +179,53 @@ TEST(CheckpointFuzz, SweepCheckpointParserRejectsOrRoundTrips) {
          Out = check::serializeSweepCheckpoint(C);
          return true;
        });
+}
+
+#ifndef COMPASS_CORPUS_DIR
+#error "COMPASS_CORPUS_DIR must point at tests/corpus"
+#endif
+
+TEST(CheckpointFuzz, CorpusEntryParserRejectsOrRoundTrips) {
+  std::vector<std::string> Seeds;
+  for (const auto &Ent :
+       std::filesystem::directory_iterator(COMPASS_CORPUS_DIR)) {
+    if (Ent.path().extension() != ".corpus")
+      continue;
+    std::ifstream In(Ent.path());
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    Seeds.push_back(Text.str());
+  }
+  ASSERT_EQ(Seeds.size(), 9u) << "one corpus entry per mutant";
+  fuzz(Seeds, 0x5eed0003,
+       [](const std::string &In, std::string &Err, std::string &Out) {
+         check::CorpusEntry E;
+         if (!check::parseCorpusEntry(In, E, Err))
+           return false;
+         Out = check::formatCorpusEntry(E);
+         return true;
+       });
+}
+
+TEST(CheckpointFuzz, CorpusEntryParserRejectsLossyValues) {
+  // Values the parser once read as something else: a wrapped sign, an
+  // overflow, a value past a NUL byte, a count that does not fit its
+  // field, and an argument on an op that takes none.
+  const std::string Base = "lib=treiber_stack\nthread=push:1,pop\n";
+  check::CorpusEntry E;
+  std::string Err;
+  ASSERT_TRUE(check::parseCorpusEntry(Base + "pb=2\ndecisions=0,1\n", E,
+                                      Err))
+      << Err;
+  const std::vector<std::string> Bads = {
+      "pb=-1\n",         "pb=+2\n",
+      "pb= 2\n",         "pb=4294967296\n",
+      "seed=18446744073709551616\n", std::string("cap=3\0x\n", 8),
+      "decisions=0,-1\n", "decisions=4294967296\n",
+      "thread=pop:5\n",  "thread=push\n"};
+  for (const std::string &Bad : Bads) {
+    Err.clear();
+    EXPECT_FALSE(check::parseCorpusEntry(Base + Bad, E, Err)) << Bad;
+    EXPECT_FALSE(Err.empty()) << Bad;
+  }
 }

@@ -18,7 +18,7 @@
 #include "lib/HwQueue.h"
 #include "lib/Locked.h"
 #include "lib/MsQueue.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/Consistency.h"
 
 #include <gtest/gtest.h>

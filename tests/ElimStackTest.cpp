@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lib/ElimStack.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/Composition.h"
 #include "spec/Consistency.h"
 #include "spec/Linearization.h"

@@ -21,7 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <set>
+#include <thread>
 
 using namespace compass;
 using namespace compass::rmc;
@@ -643,4 +647,110 @@ TEST(ParallelEngineAB, CheckpointResumeMatchesRootReplay) {
   EXPECT_FALSE(Seg2.Interrupted);
   EXPECT_TRUE(Ref.coreEquals(Seg2.Sum))
       << "root-replay: " << Ref.str() << "\nresumed cow: " << Seg2.Sum.str();
+}
+
+//===----------------------------------------------------------------------===//
+// The one exploration loop: the caller is worker 0, the workers poll the
+// controls
+//===----------------------------------------------------------------------===//
+
+TEST(ExplorationLoop, OneWorkerRunsSetupOnTheCallingThread) {
+  // Setup runs on the worker that explores; with one worker that must be
+  // the caller itself, for every driver.
+  auto Threads = std::make_shared<std::set<std::thread::id>>();
+  Explorer::Options Opts;
+  Workload W(Opts, [Threads](Machine &M, Scheduler &S) {
+    Threads->insert(std::this_thread::get_id());
+    Loc X = M.alloc("x");
+    Env &E = S.newThread();
+    S.start(E, corrWriter(E, X));
+  });
+  EXPECT_GT(explore(W).Executions, 0u);
+  EXPECT_GT(exploreSerial(W).Executions, 0u);
+  EXPECT_GT(exploreResumable(W, ExploreControl{}).Sum.Executions, 0u);
+  EXPECT_EQ(*Threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(ExplorationLoop, HeartbeatsArriveOneAtATime) {
+  for (unsigned Wk : {1u, 2u}) {
+    std::atomic<bool> InCallback{false};
+    unsigned Beats = 0;
+    uint64_t LastExecs = 0;
+    bool Overlapped = false, Decreased = false, Shaped = true;
+    ExploreControl Ctl;
+    Ctl.HeartbeatIntervalSec = 5e-4;
+    Ctl.OnHeartbeat = [&](const ExploreHeartbeat &Hb) {
+      Overlapped |= InCallback.exchange(true);
+      ++Beats;
+      Decreased |= Hb.Executions < LastExecs;
+      LastExecs = Hb.Executions;
+      Shaped &= Hb.Workers == Wk && Hb.PerWorker.size() == Wk;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      InCallback.store(false);
+    };
+    ExploreResult R = exploreResumable(msQueueWorkload(Wk), Ctl);
+    EXPECT_FALSE(R.Interrupted);
+    EXPECT_GT(Beats, 0u) << "workers=" << Wk;
+    EXPECT_FALSE(Overlapped) << "workers=" << Wk;
+    EXPECT_FALSE(Decreased) << "workers=" << Wk;
+    EXPECT_TRUE(Shaped) << "workers=" << Wk;
+    EXPECT_LE(LastExecs, R.Sum.Executions);
+  }
+}
+
+TEST(ExplorationLoop, DeadlineInterruptAtOneWorkerResumesToSameCore) {
+  Explorer::Summary Ref = explore(msQueueWorkload(1));
+  ASSERT_TRUE(Ref.Exhausted);
+  // Segments of a quarter of the whole run's wall time, each resuming the
+  // last one's snapshot: the deadline trips on the worker (the calling
+  // thread), and the stitched core is the uninterrupted one.
+  ExploreControl Ctl;
+  Ctl.DeadlineSec = std::max(Ref.Perf.WallSeconds / 4, 1e-4);
+  ExploreResult Seg = exploreResumable(msQueueWorkload(1), Ctl);
+  unsigned Interrupts = 0;
+  while (Seg.Interrupted && Interrupts < 1000) {
+    ++Interrupts;
+    ExplorationSnapshot Snap = std::move(Seg.Snapshot);
+    Seg = exploreResumable(msQueueWorkload(1), Ctl, &Snap);
+  }
+  EXPECT_FALSE(Seg.Interrupted);
+  EXPECT_GT(Interrupts, 0u) << "the deadline never tripped";
+  EXPECT_TRUE(Ref.coreEquals(Seg.Sum))
+      << "uninterrupted: " << Ref.str() << "\nresumed: " << Seg.Sum.str();
+}
+
+TEST(ExplorationLoop, ClosureExploreReportsEngineCounters) {
+  // The closure form runs through the worker loop and its engine, so the
+  // step and root-run counters are filled like every other driver's.
+  Explorer::Options Opts;
+  Opts.Workers = 4; // ignored: the closure form is always one worker
+  Value R1 = 0, R2 = 0;
+  unsigned Checks = 0;
+  auto Setup = [&](Machine &M, Scheduler &S) {
+    Loc X = M.alloc("x");
+    Env &W = S.newThread();
+    S.start(W, corrWriter(W, X));
+    Env &R = S.newThread();
+    S.start(R, corrReader(R, X, &R1, &R2));
+  };
+  Explorer::Summary Void =
+      sim::explore(Opts, Setup, [&](Machine &, Scheduler &,
+                                    Scheduler::RunResult) { ++Checks; });
+  EXPECT_GT(Void.Executions, 1u);
+  EXPECT_EQ(Checks, Void.Executions);
+  EXPECT_EQ(Void.Violations, 0u);
+  EXPECT_EQ(Void.Perf.RootRuns, Void.Executions);
+  EXPECT_GT(Void.Perf.StepsLogical, 0u);
+  EXPECT_EQ(Void.Perf.StepsExecuted, Void.Perf.StepsLogical);
+  EXPECT_EQ(Void.Perf.Workers, 1u);
+
+  // A bool check counts its failures: here, every execution whose reader
+  // read 1 twice (an allowed outcome, flagged only to be counted).
+  Explorer::Summary Bool = sim::explore(
+      Opts, Setup, [&](Machine &, Scheduler &, Scheduler::RunResult) {
+        return !(R1 == 1 && R2 == 1);
+      });
+  EXPECT_EQ(Bool.Executions, Void.Executions);
+  EXPECT_GT(Bool.Violations, 0u);
+  EXPECT_EQ(Bool.Perf.RootRuns, Bool.Executions);
 }

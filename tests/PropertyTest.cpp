@@ -3,9 +3,10 @@
 // Randomized property tests (parameterized over seeds) for the framework's
 // algebraic cores: the view lattice, logical-view sets, machine invariants
 // under random operation soup, the linearization search on generated
-// histories with known answers, and event-graph invariants (logical-view
-// monotonicity along so edges, commit-index totality) over exhaustively
-// explored generated scenarios.
+// histories with known answers, a second (plain recursive) linearization
+// oracle cross-checking it on random event graphs, and event-graph
+// invariants (logical-view monotonicity along so edges, commit-index
+// totality) over exhaustively explored generated scenarios.
 //
 //===----------------------------------------------------------------------===//
 
@@ -270,6 +271,197 @@ TEST_P(SeededProperty, GeneratedDequeHistoriesLinearizable) {
   EXPECT_TRUE(Res.Found);
   auto Abs = spec::checkWsDequeAbsState(G, 0);
   EXPECT_TRUE(Abs.ok()) << Abs.str();
+}
+
+namespace {
+
+/// One transition of the sequential specification \p Spec, written
+/// independently of spec::findLinearization's: \p Items holds the
+/// abstract state, oldest first (a queue's head and a deque's steal end at
+/// the front, a stack's top and a deque's owner end at the back). False
+/// when \p E cannot happen in this state.
+bool applySeq(spec::SeqSpec Spec, const graph::Event &E,
+              std::vector<Value> &Items) {
+  const bool Queue = Spec == spec::SeqSpec::Queue;
+  const bool Deque = Spec == spec::SeqSpec::WsDeque;
+  switch (E.Kind) {
+  case graph::OpKind::Enq:
+  case graph::OpKind::Push:
+    if (Queue != (E.Kind == graph::OpKind::Enq))
+      return false;
+    Items.push_back(E.V1);
+    return true;
+  case graph::OpKind::DeqOk:
+  case graph::OpKind::Steal:
+    if (!(E.Kind == graph::OpKind::DeqOk ? Queue : Deque) || Items.empty() ||
+        Items.front() != E.V1)
+      return false;
+    Items.erase(Items.begin());
+    return true;
+  case graph::OpKind::PopOk:
+    if (Queue || Items.empty() || Items.back() != E.V1)
+      return false;
+    Items.pop_back();
+    return true;
+  case graph::OpKind::DeqEmpty:
+    return Queue && Items.empty();
+  case graph::OpKind::PopEmpty:
+    return !Queue && Items.empty();
+  case graph::OpKind::StealEmpty:
+    return Deque && Items.empty();
+  default:
+    return false;
+  }
+}
+
+/// The second linearization oracle: a plain recursive search without
+/// memoization, in the style of lincheck-cpp's
+/// LinearizabilityCheckerRecursive. Slow (it may revisit a state once per
+/// path to it) but simple enough to trust as a cross-check of the
+/// memoized spec::findLinearization. Places, in every possible order, an
+/// event whose lhb-predecessors are all placed and that the sequential
+/// spec accepts next.
+bool linearizeRecursive(const graph::EventGraph &G,
+                        const std::vector<graph::EventId> &Evs,
+                        spec::SeqSpec Spec, std::vector<bool> &Placed,
+                        std::vector<Value> &Items,
+                        std::vector<graph::EventId> &Order) {
+  if (Order.size() == Evs.size())
+    return true;
+  for (size_t I = 0; I != Evs.size(); ++I) {
+    if (Placed[I])
+      continue;
+    bool Minimal = true;
+    for (size_t J = 0; J != Evs.size() && Minimal; ++J)
+      Minimal = Placed[J] || J == I || !G.lhb(Evs[J], Evs[I]);
+    if (!Minimal)
+      continue;
+    const std::vector<Value> Saved = Items;
+    if (applySeq(Spec, G.event(Evs[I]), Items)) {
+      Placed[I] = true;
+      Order.push_back(Evs[I]);
+      if (linearizeRecursive(G, Evs, Spec, Placed, Items, Order))
+        return true;
+      Order.pop_back();
+      Placed[I] = false;
+    }
+    Items = Saved;
+  }
+  return false;
+}
+
+bool linearizeRecursive(const graph::EventGraph &G, unsigned Obj,
+                        spec::SeqSpec Spec,
+                        std::vector<graph::EventId> &Order) {
+  const std::vector<graph::EventId> Evs = G.objectEvents(Obj);
+  std::vector<bool> Placed(Evs.size(), false);
+  std::vector<Value> Items;
+  Order.clear();
+  return linearizeRecursive(G, Evs, Spec, Placed, Items, Order);
+}
+
+/// True iff \p Order is a linearization of object \p Obj's history: a
+/// permutation of its events that respects lhb and that the sequential
+/// spec accepts from the empty state.
+bool isLinearization(const graph::EventGraph &G, unsigned Obj,
+                     spec::SeqSpec Spec,
+                     const std::vector<graph::EventId> &Order) {
+  std::vector<graph::EventId> Evs = G.objectEvents(Obj), Sorted = Order;
+  std::sort(Evs.begin(), Evs.end());
+  std::sort(Sorted.begin(), Sorted.end());
+  if (Evs != Sorted)
+    return false;
+  for (size_t I = 0; I != Order.size(); ++I)
+    for (size_t J = I + 1; J != Order.size(); ++J)
+      if (G.lhb(Order[J], Order[I]))
+        return false;
+  std::vector<Value> Items;
+  for (graph::EventId Id : Order)
+    if (!applySeq(Spec, G.event(Id), Items))
+      return false;
+  return true;
+}
+
+/// A random history of one object under \p Spec, 3 to 8 events over 3
+/// threads. It follows a model run of the spec, except that a consume
+/// sometimes takes a wrong value and an empty operation sometimes occurs
+/// on a non-empty state, so some histories linearize and some do not.
+/// Each event's logical view holds its thread's previous event and random
+/// earlier events, with their views: lhb is a random partial order that
+/// commit order extends.
+graph::EventGraph randomHistory(Rng &R, spec::SeqSpec Spec) {
+  using graph::OpKind;
+  const bool Queue = Spec == spec::SeqSpec::Queue;
+  const bool Deque = Spec == spec::SeqSpec::WsDeque;
+  graph::EventGraph G;
+  std::vector<Value> Items;
+  std::vector<graph::EventId> Ids;
+  std::vector<int> LastOfThread(3, -1);
+  Value NextV = 1;
+  const unsigned N = 3 + static_cast<unsigned>(R.below(6));
+  for (unsigned K = 0; K != N; ++K) {
+    graph::Event E;
+    E.ObjId = 0;
+    E.Thread = static_cast<unsigned>(R.below(3));
+    const bool Empty = R.chance(1, 6);
+    if (Empty) {
+      E.Kind = Queue ? OpKind::DeqEmpty
+                     : (Deque && R.chance(1, 2) ? OpKind::StealEmpty
+                                                : OpKind::PopEmpty);
+      E.V1 = graph::EmptyVal;
+    } else if (Items.empty() || R.chance(1, 2)) {
+      E.Kind = Queue ? OpKind::Enq : OpKind::Push;
+      E.V1 = NextV++;
+    } else {
+      const bool Front = Queue || (Deque && R.chance(1, 2));
+      E.Kind = Queue ? OpKind::DeqOk
+                     : (Front ? OpKind::Steal : OpKind::PopOk);
+      E.V1 = R.chance(1, 4) ? 1 + R.below(NextV) // maybe wrong
+                            : (Front ? Items.front() : Items.back());
+    }
+    std::vector<Value> Next = Items;
+    if (applySeq(Spec, E, Next))
+      Items = std::move(Next);
+
+    const graph::EventId Id = G.reserve();
+    E.LogView.insert(Id);
+    for (size_t J = 0; J != Ids.size(); ++J)
+      if (static_cast<int>(J) == LastOfThread[E.Thread] || R.chance(1, 3)) {
+        E.LogView.insert(Ids[J]);
+        E.LogView.joinWith(G.event(Ids[J]).LogView);
+      }
+    LastOfThread[E.Thread] = static_cast<int>(Ids.size());
+    G.commit(Id, std::move(E));
+    Ids.push_back(Id);
+  }
+  return G;
+}
+
+} // namespace
+
+TEST_P(SeededProperty, RecursiveOracleAgreesWithMemoizedSearch) {
+  Rng R(GetParam() + 131);
+  for (spec::SeqSpec Spec :
+       {spec::SeqSpec::Stack, spec::SeqSpec::Queue, spec::SeqSpec::WsDeque}) {
+    unsigned Found = 0, NotFound = 0;
+    for (int Round = 0; Round != 60; ++Round) {
+      const graph::EventGraph G = randomHistory(R, Spec);
+      const spec::LinearizationResult Memo =
+          spec::findLinearization(G, 0, Spec);
+      std::vector<graph::EventId> Order;
+      const bool Rec = linearizeRecursive(G, 0, Spec, Order);
+      ASSERT_FALSE(Memo.Aborted);
+      ASSERT_EQ(Memo.Found, Rec) << G.str();
+      if (Rec) {
+        EXPECT_TRUE(isLinearization(G, 0, Spec, Order)) << G.str();
+        EXPECT_TRUE(isLinearization(G, 0, Spec, Memo.Order)) << G.str();
+      }
+      ++(Rec ? Found : NotFound);
+    }
+    // Both verdicts must occur for the agreement to mean anything.
+    EXPECT_GT(Found, 0u) << static_cast<int>(Spec);
+    EXPECT_GT(NotFound, 0u) << static_cast<int>(Spec);
+  }
 }
 
 namespace {

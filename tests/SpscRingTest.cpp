@@ -10,7 +10,7 @@
 
 #include "lib/SpscRing.h"
 #include "native/SpscRing.h"
-#include "sim/Explorer.h"
+#include "sim/Workload.h"
 #include "spec/Consistency.h"
 #include "spec/Linearization.h"
 

@@ -176,6 +176,24 @@ def main():
         check("telemetry report calls the interrupted run unverified",
               "interrupted (unverified)" in rp.stdout, rp)
 
+    # Heartbeats are live: a heartbeat's sweep executions include the
+    # in-flight scenario's, so they are never below scenario_execs. The
+    # unreduced root-replay ms_queue scenarios run past the 1 s heartbeat
+    # interval; the time budget bounds the run.
+    with tempfile.TemporaryDirectory() as td:
+        telem = os.path.join(td, "hb.jsonl")
+        p = run("sweep", "--seed", "1", "--per-lib", "20", "--lib",
+                "ms_queue", "--reduction", "none", "--engine", "root",
+                "--max-execs", "5000000", "--time-budget", "2.5",
+                "--checkpoint", os.path.join(td, "hb.ckpt"),
+                "--telemetry", telem)
+        with open(telem) as f:
+            beats = [r for r in map(json.loads, f) if r["kind"] == "heartbeat"]
+        check("sweep emits heartbeats", p.returncode == 3 and beats, p)
+        check("heartbeat sweep executions include the in-flight scenario",
+              all(b["sweep"]["executions"] >= b["scenario_execs"]
+                  for b in beats), p)
+
     # --- resume-mismatch contract -----------------------------------------
     # A checkpoint's executed share is tied to the reduction mode and engine
     # path that produced it. Produce a cadence checkpoint under explicit
