@@ -79,9 +79,13 @@ public:
         if (!H) {
           Node *ExpHole = nullptr;
           if (Mine->Hole.compare_exchange_strong(
-                  ExpHole, &Cancel, std::memory_order_relaxed,
+                  ExpHole, &Cancel, std::memory_order_acquire,
                   std::memory_order_acquire)) {
-            Slot.compare_exchange_strong(Mine, nullptr,
+            // A failed compare_exchange stores the slot's current value
+            // into its `expected` argument; a helper may already have
+            // cleared the slot, so CAS on a copy and retire the original.
+            Node *Me = Mine;
+            Slot.compare_exchange_strong(Me, nullptr,
                                          std::memory_order_relaxed,
                                          std::memory_order_relaxed);
             Retired.retire(Mine);
@@ -105,7 +109,10 @@ public:
       if (Off->Hole.compare_exchange_strong(ExpHole, Fill,
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed)) {
-        Slot.compare_exchange_strong(Off, nullptr,
+        // As above: the offerer may already have cleared the slot, and a
+        // failed CAS would overwrite `Off` with nullptr or a newer offer.
+        Node *Seen = Off;
+        Slot.compare_exchange_strong(Seen, nullptr,
                                      std::memory_order_relaxed,
                                      std::memory_order_relaxed);
         T Out = Off->Value;
